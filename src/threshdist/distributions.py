@@ -14,6 +14,7 @@ right-continuous; at the atom the value belongs to the upper branch.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -66,8 +67,9 @@ class VarianceMode:
     dof: int | None = None
 
     def __post_init__(self):
-        if self.dof is not None and not (isinstance(self.dof, int) and self.dof >= 1):
+        if self.dof is not None and not (isinstance(self.dof, numbers.Integral) and self.dof >= 1):
             raise ValueError(f"unknown-variance mode needs integer dof >= 1, got {self.dof!r}")
+        object.__setattr__(self, "dof", None if self.dof is None else int(self.dof))
 
     @property
     def known(self) -> bool:
@@ -105,8 +107,9 @@ class ComponentSpec:
     alpha: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         for name in ("xi", "sigma", "eta"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
@@ -189,6 +192,8 @@ def cdf(kind: str, mode: VarianceMode, spec: ComponentSpec, x: float) -> float:
     """Cdf of sigma^{-1} * alpha * (estimate - theta) at x (x may be +-inf)."""
     _check_kind(kind)
     x = float(x)
+    if math.isnan(x):
+        raise ValueError("cdf argument must not be NaN")
     if math.isinf(x):
         return 1.0 if x > 0 else 0.0
     u = spec.offset(x)

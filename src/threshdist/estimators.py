@@ -237,39 +237,62 @@ class LassoConfig:
         return np.full(k, float(self.value))
 
 
-def _soft(z: float, t: float) -> float:
-    if z > t:
-        return z - t
-    if z < -t:
-        return z + t
-    return 0.0
-
-
-def _coordinate_descent(X: np.ndarray, Y: np.ndarray, thresholds: np.ndarray,
-                        tol: float, max_sweeps: int, start: np.ndarray) -> np.ndarray:
-    """Cyclic coordinate descent for 0.5*||Y - X theta||^2 + sum t_i |theta_i|
-    written with thresholds t_i already absorbing all penalty constants;
-    the update for coordinate i is soft(x_i'r + a_i theta_i, t_i) / a_i."""
-    k = X.shape[1]
-    col_sq = np.einsum("ij,ij->j", X, X)
-    theta = start.copy()
-    resid = Y - X @ theta
-    for _ in range(max_sweeps):
-        max_change = 0.0
+def _lasso_rows(X: np.ndarray, Y: np.ndarray, theta_ls: np.ndarray, sigma_hat: np.ndarray,
+                config: LassoConfig, adaptive: bool):
+    """Lasso (adaptive lasso if ``adaptive``) of each row of ``Y`` on X from the
+    least-squares fits ``theta_ls``, by cyclic coordinate descent in the
+    covariance form of Friedman, Hastie and Tibshirani (2010), elementwise in a
+    fixed order so that a row's result does not depend on the batch.  Returns
+    the solutions and each row's last largest change in a sweep; a row stops
+    once that is within ``config.tol``, so a row above it ran out of sweeps."""
+    if np.any(sigma_hat <= 0):
+        raise ValueError(f"sigma_hat must be positive, got {np.min(sigma_hat)!r}")
+    n, k = X.shape
+    eta_prime = config.penalties(X)
+    sigma_hat = sigma_hat[:, None]
+    if adaptive:
+        if np.any(np.abs(theta_ls) <= np.finfo(float).tiny):
+            raise ValueError("adaptive penalty weights are undefined: a least-squares "
+                             "component is zero")
+        thresholds = n * sigma_hat ** 2 * eta_prime ** 2 / np.abs(theta_ls)
+    else:
+        thresholds = n * sigma_hat * eta_prime
+    g = (X.T @ X).tolist()
+    # coordinate-major: one contiguous vector per coordinate; einsum rather
+    # than BLAS keeps each row's X'Y independent of the batch
+    theta, t = theta_ls.T.copy(), thresholds.T.copy()
+    xty = np.einsum("rn,nk->rk", Y, X).T.copy()
+    out, last = np.empty_like(theta), np.empty(theta.shape[1])
+    rows = np.arange(theta.shape[1])
+    for _ in range(config.max_sweeps):
+        old = theta.copy()
         for i in range(k):
-            old = theta[i]
-            z = X[:, i] @ resid + col_sq[i] * old
-            new = _soft(z, thresholds[i]) / col_sq[i]
-            if new != old:
-                resid += X[:, i] * (old - new)
-                theta[i] = new
-                max_change = max(max_change, abs(new - old))
-        if max_change <= tol:
-            return theta
-    raise NonConvergenceError(
-        f"coordinate descent did not converge within {max_sweeps} sweeps "
-        f"(last max coordinate change {max_change:.3e})",
-        iterate=theta, max_change=max_change)
+            z = xty[i] - sum(g[i][j] * theta[j] for j in range(k) if j != i)
+            # soft threshold: z - clip(z, -t, t) is exactly z - t, z + t or 0.0
+            theta[i] = (z - np.minimum(np.maximum(z, -t[i]), t[i])) / g[i][i]
+        change = np.abs(theta - old).max(axis=0)
+        done = change <= config.tol
+        if done.any():  # freeze converged rows, go on with the rest
+            out[:, rows[done]], last[rows[done]] = theta[:, done], change[done]
+            keep = ~done
+            rows, theta, xty, t, change = (rows[keep], theta[:, keep], xty[:, keep],
+                                           t[:, keep], change[keep])
+            if not rows.size:
+                break
+    out[:, rows], last[rows] = theta, change
+    return out.T, last
+
+
+def _solve_one(data: RegressionData, config: LassoConfig, sigma_hat: float, adaptive: bool):
+    theta_ls, _ = least_squares(data)
+    theta, change = _lasso_rows(data.X, data.Y[None, :], theta_ls[None, :],
+                                np.array([float(sigma_hat)]), config, adaptive)
+    if change[0] > config.tol:
+        raise NonConvergenceError(
+            f"coordinate descent did not converge within {config.max_sweeps} sweeps "
+            f"(last max coordinate change {change[0]:.3e})",
+            iterate=theta[0], max_change=float(change[0]))
+    return theta[0]
 
 
 def lasso(data: RegressionData, config: LassoConfig, sigma_hat: float) -> np.ndarray:
@@ -278,13 +301,7 @@ def lasso(data: RegressionData, config: LassoConfig, sigma_hat: float) -> np.nda
     Under diagonal X'X the i-th component equals the soft-thresholding
     closed form sign(ls_i) * (|ls_i| - sigma_hat * eta'_i * xi_i^2)_+.
     """
-    if sigma_hat <= 0:
-        raise ValueError(f"sigma_hat must be positive, got {sigma_hat!r}")
-    eta_prime = config.penalties(data.X)
-    theta_ls, _ = least_squares(data)
-    thresholds = data.n * sigma_hat * eta_prime
-    return _coordinate_descent(data.X, data.Y, thresholds, config.tol,
-                               config.max_sweeps, start=theta_ls)
+    return _solve_one(data, config, sigma_hat, adaptive=False)
 
 
 def adaptive_lasso(data: RegressionData, config: LassoConfig, sigma_hat: float) -> np.ndarray:
@@ -294,17 +311,7 @@ def adaptive_lasso(data: RegressionData, config: LassoConfig, sigma_hat: float) 
     Requires every least-squares component to be nonzero.  Under diagonal
     X'X the i-th component equals ls_i * (1 - sigma_hat^2 eta'_i^2 xi_i^2 / ls_i^2)_+.
     """
-    if sigma_hat <= 0:
-        raise ValueError(f"sigma_hat must be positive, got {sigma_hat!r}")
-    eta_prime = config.penalties(data.X)
-    theta_ls, _ = least_squares(data)
-    tiny = np.finfo(float).tiny
-    if np.any(np.abs(theta_ls) <= tiny):
-        raise ValueError("adaptive penalty weights are undefined: a least-squares "
-                         "component is zero")
-    thresholds = data.n * sigma_hat ** 2 * eta_prime ** 2 / np.abs(theta_ls)
-    return _coordinate_descent(data.X, data.Y, thresholds, config.tol,
-                               config.max_sweeps, start=theta_ls)
+    return _solve_one(data, config, sigma_hat, adaptive=True)
 
 
 def write_matrix(path, X) -> None:

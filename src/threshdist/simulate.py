@@ -1,8 +1,9 @@
 """Seeded Monte Carlo harness and the benchmark histogram study.
 
 Randomness is counter-based: replication ``r`` of a run with seed ``s``
-draws from ``Philox(key=(s, r))``, so results are bit-identical no matter
-how replications are scheduled or chunked.
+draws from ``Philox(key=(s, r))``, so its noise is bit-identical however the
+replications are scheduled or chunked.  So is its estimate, whatever the
+replication count, as every later step works row by row in a fixed order.
 
 The study simulates responses from a fixed design, computes one of the
 five estimators (hard / soft / adaptive soft thresholding, lasso, adaptive
@@ -16,15 +17,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import special as sf
 from .distributions import (ADAPTIVE, HARD, KINDS, SOFT, ComponentSpec,
                             MixtureDistribution, VarianceMode, as_mixture)
-from .estimators import (DesignSpec, LassoConfig, NonConvergenceError,
-                         RegressionData, adaptive_lasso, lasso, make_design,
+from .estimators import (DesignSpec, LassoConfig, _lasso_rows, make_design,
                          threshold_estimate, xi_values)
 
 __all__ = [
@@ -159,12 +159,13 @@ def run_study(config: SimConfig) -> SimResult:
         noise[r] = replication_noise(config.seed, r, n)
     Y = (X @ theta)[None, :] + config.sigma * noise
 
-    # all replications share the design, so least squares is one matmul
+    # one least-squares product for all replications; einsum, unlike BLAS,
+    # keeps each row independent of the batch shape
     gram_inv = np.linalg.inv(X.T @ X)
     proj = gram_inv @ X.T                       # (k, n)
-    theta_ls = Y @ proj.T                       # (reps, k)
+    theta_ls = np.einsum("rn,kn->rk", Y, proj)  # (reps, k)
     if n > k:
-        resid = Y - theta_ls @ X.T
+        resid = Y - np.einsum("rk,kn->rn", theta_ls, X.T.copy())
         sigma_hat = np.sqrt(np.einsum("ij,ij->i", resid, resid) / (n - k))
     else:
         sigma_hat = None
@@ -175,20 +176,12 @@ def run_study(config: SimConfig) -> SimResult:
         estimates = threshold_estimate(config.estimator, theta_ls,
                                        scale[:, None], xi[None, :], eta)
     else:
-        solver = lasso if config.estimator == "lasso" else adaptive_lasso
-        cfg = (LassoConfig.eta_xi_inverse(eta) if config.estimator == "lasso"
-               else LassoConfig.constant(eta))
-        estimates = np.empty((reps, k))
-        for r in range(reps):
-            data = RegressionData(X, Y[r])
-            try:
-                estimates[r] = solver(data, cfg, float(scale[r]))
-            except NonConvergenceError as exc:
-                failures += 1
-                estimates[r] = exc.iterate
+        adaptive = config.estimator == "adaptive-lasso"
+        cfg = LassoConfig.constant(eta) if adaptive else LassoConfig.eta_xi_inverse(eta)
+        estimates, change = _lasso_rows(X, Y, theta_ls, scale, cfg, adaptive)
+        failures = int(np.count_nonzero(change > cfg.tol))
         if failures > MAX_FAILURE_RATE * reps:
-            raise RuntimeError(
-                f"{failures} of {reps} replications failed to converge")
+            raise RuntimeError(f"{failures} of {reps} replications failed to converge")
 
     inv_sigma = 1.0 / config.sigma if config.sigma > 0 else 1.0
     scaled = math.sqrt(n) * inv_sigma * (estimates - theta[None, :]) / xi[None, :]
@@ -344,12 +337,7 @@ def reproduce_figures(out_dir: str, seed: int, reps: int = 10_000) -> list[str]:
         cond = float(np.linalg.cond(X.T @ X))
         eta = config.eta_value()
 
-        known_overlay = []
-        for i in range(design.k):
-            spec = ComponentSpec(n=design.n, xi=float(result.xi[i]),
-                                 theta=config.theta[i], sigma=PANEL_SIGMA, eta=eta)
-            known_overlay.append(as_mixture(_matching_kind(estimator),
-                                            VarianceMode.known_sigma(), spec))
+        known_overlay = _overlay(replace(config, feasible=False), result.xi)
 
         mids = 0.5 * (result.hist_edges[:-1] + result.hist_edges[1:])
         for i in range(design.k):

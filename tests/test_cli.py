@@ -7,6 +7,7 @@ import numpy as np
 
 from threshdist import cli
 from threshdist import distributions as fd
+from threshdist import selfcheck
 from threshdist import simulate as mc
 from threshdist import special as sf
 
@@ -187,6 +188,13 @@ class TestReproduce:
         assert code == 0
         assert len(out.splitlines()) == 1 + 12 * 5
         assert (tmp_path / "SCHEMA.txt").exists()
+
+
+class TestSelfcheck:
+    def test_every_check_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "selfcheck")
+        assert code == 0
+        assert out.splitlines() == [f"{name}: PASS" for name in selfcheck._CHECKS]
 
 
 class TestUsageErrors:

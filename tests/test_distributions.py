@@ -32,6 +32,20 @@ class TestComponentSpec:
         with pytest.raises(ValueError):
             fd.VarianceMode.unknown_sigma(0)
 
+    def test_numpy_integers_coerced(self):
+        s = fd.ComponentSpec(n=np.int64(8), xi=1.0, theta=0.5, sigma=1.0, eta=ETA8)
+        m = fd.VarianceMode(np.int64(4))
+        assert type(s.n) is int and type(m.dof) is int
+        assert m == M4
+        plain = spec8(0.5)
+        assert s == plain
+        for kind in fd.KINDS:
+            for x in (-1.0, s.atom_location, 0.3):
+                assert fd.cdf(kind, m, s, x) == fd.cdf(kind, M4, plain, x)
+                assert fd.ac_density(kind, m, s, x) == fd.ac_density(kind, M4, plain, x)
+        with pytest.raises(ValueError):
+            fd.VarianceMode(4.0)
+
     def test_atom_location_never_negative_zero(self):
         s = spec8(0.0)
         assert math.copysign(1.0, s.atom_location) == 1.0
@@ -149,6 +163,13 @@ class TestCdf:
             quad = sf.integrate_rho(4, lambda t: float(sf.normal_cdf(v + sign * t * b)))
             assert abs(val - closed) <= 1e-8
             assert abs(val - quad) <= 1e-8
+
+
+    def test_nan_rejected(self):
+        for kind in fd.KINDS:
+            for mode in (fd.KNOWN, M4):
+                with pytest.raises(ValueError):
+                    fd.cdf(kind, mode, spec8(0.5), math.nan)
 
 
 class TestDensity:

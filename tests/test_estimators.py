@@ -269,6 +269,65 @@ class TestAdaptiveLasso:
             est.adaptive_lasso(data, est.LassoConfig.constant(0.5), 1.0)
 
 
+class TestBatchedSolver:
+    """The coordinate-descent kernel solves every row on its own."""
+
+    @staticmethod
+    def problem(rows, design=est.DesignSpec("II", 8, 4, c=2.0)):
+        rng = np.random.default_rng(16)
+        X = est.make_design(design)
+        Y = X @ np.array([3.0, 1.5, 0.0, 0.0]) + rng.standard_normal((rows, 8))
+        ls = np.array([est.least_squares(est.RegressionData(X, y))[0] for y in Y])
+        return X, Y, ls, rng.uniform(0.5, 1.5, rows)
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_rows_independent_of_batch_size(self, adaptive):
+        X, Y, ls, sig = self.problem(1000, est.DesignSpec("I", 8, 4, rho=0.5))
+        cfg = est.LassoConfig.eta_xi_inverse(0.7)
+        alone = [est._lasso_rows(X, Y[r:r + 1], ls[r:r + 1], sig[r:r + 1], cfg, adaptive)
+                 for r in range(1000)]
+        for m in (1, 2, 3, 17, 1000):
+            theta, change = est._lasso_rows(X, Y[:m], ls[:m], sig[:m], cfg, adaptive)
+            for r in range(m):
+                assert np.array_equal(theta[r], alone[r][0][0]), (m, r)
+                assert change[r] == alone[r][1][0]
+
+    def test_public_solvers_are_a_batch_of_one(self):
+        X, Y, ls, sig = self.problem(5)
+        cfg = est.LassoConfig.constant(0.4)
+        for solver, adaptive in ((est.lasso, False), (est.adaptive_lasso, True)):
+            theta, _ = est._lasso_rows(X, Y, ls, sig, cfg, adaptive)
+            for r in range(5):
+                alone = solver(est.RegressionData(X, Y[r]), cfg, sig[r])
+                assert np.array_equal(alone, theta[r])
+
+    def test_failed_rows_keep_last_iterate(self):
+        X, Y, ls, sig = self.problem(6)
+        Y[1::2] = 0.0  # least squares 0 is already the lasso solution
+        ls[1::2] = 0.0
+        cfg = est.LassoConfig.constant(0.4, max_sweeps=1, tol=1e-15)
+        theta, change = est._lasso_rows(X, Y, ls, sig, cfg, adaptive=False)
+        failed = change > cfg.tol
+        assert np.array_equal(failed, np.arange(6) % 2 == 0)
+        for r in range(6):
+            data = est.RegressionData(X, Y[r])
+            if failed[r]:
+                with pytest.raises(est.NonConvergenceError) as exc:
+                    est.lasso(data, cfg, sig[r])
+                assert np.array_equal(exc.value.iterate, theta[r])
+                assert exc.value.max_change == change[r]
+            else:
+                assert np.all(theta[r] == 0.0)
+                assert np.array_equal(est.lasso(data, cfg, sig[r]), theta[r])
+
+    def test_exact_zeros_stay_exact(self):
+        X, Y, ls, sig = self.problem(200)
+        theta, _ = est._lasso_rows(X, Y, ls, sig, est.LassoConfig.eta_xi_inverse(0.7), False)
+        zeros = theta == 0.0
+        assert zeros.any() and not zeros.all()
+        assert not np.any(np.signbit(theta[zeros]))
+
+
 class TestEquivariance:
     def test_thresholding_column_scaling(self):
         rng = np.random.default_rng(13)

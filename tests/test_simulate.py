@@ -59,6 +59,18 @@ class TestDeterminism:
         direct = np.stack([mc.replication_noise(123, r, 8) for r in range(100)])
         assert np.array_equal(shuffled, direct)
 
+    @pytest.mark.parametrize("estimator,n", [
+        ("hard", 404), ("soft", 404), ("lasso", 8), ("adaptive-lasso", 8)])
+    def test_replications_independent_of_replication_count(self, estimator, n):
+        design = est.DesignSpec("I", n, 4, rho=0.5)
+        theta = tuple(t / math.sqrt(n / 8) for t in THETA)
+        full = mc.run_study(small_config(design=design, theta=theta, estimator=estimator,
+                                         feasible=True, reps=2000))
+        for m in (1, 3, 16, 257):
+            part = mc.run_study(small_config(design=design, theta=theta, estimator=estimator,
+                                             feasible=True, reps=m))
+            assert np.array_equal(part.scaled_samples, full.scaled_samples[:m]), m
+
     def test_sigma_zero_degenerate_hook(self):
         res = mc.run_study(small_config(sigma=0.0, reps=50))
         assert np.all(res.scaled_samples == res.scaled_samples[0])
@@ -102,6 +114,13 @@ class TestRunStudy:
         a = mc.run_study(small_config(estimator="adaptive-lasso", feasible=True, reps=reps))
         b = mc.run_study(small_config(estimator="adaptive", feasible=True, reps=reps))
         assert np.max(np.abs(a.scaled_samples - b.scaled_samples)) <= 1e-8
+
+    def test_too_many_solver_failures_abort(self, monkeypatch):
+        # every replication runs out of its single sweep
+        monkeypatch.setattr(est.LassoConfig.__init__, "__defaults__", (1e-15, 1))
+        for estimator in ("lasso", "adaptive-lasso"):
+            with pytest.raises(RuntimeError, match="failed to converge"):
+                mc.run_study(small_config(estimator=estimator, feasible=True, reps=50))
 
     def test_zero_events_identical_across_kinds(self):
         # all three thresholding rules share the same deletion event: a zero
