@@ -375,7 +375,7 @@ def main(argv=None) -> int:
     except lm.RegimeNotCoveredError as exc:
         _error(str(exc), EXIT_REGIME)
         return EXIT_REGIME
-    except (sf.QuadratureError, NonConvergenceError) as exc:
+    except (sf.QuadratureError, NonConvergenceError, mc.SolverFailureRateError) as exc:
         _error(str(exc), EXIT_NUMERIC)
         return EXIT_NUMERIC
     except (ValueError, SingularDesignError) as exc:

@@ -197,21 +197,24 @@ def cdf(kind: str, mode: VarianceMode, spec: ComponentSpec, x: float) -> float:
     if math.isinf(x):
         return 1.0 if x > 0 else 0.0
     u = spec.offset(x)
+    # the atom belongs to the upper branch (right-continuity) even when its
+    # offset rounds below zero
+    upper = u >= 0.0 or x == spec.atom_location
     v = spec.standardized(x)
     b = spec.root_n * spec.eta
     if mode.known:
         if kind == HARD:
             if abs(u) > spec.xi * spec.eta:
                 val = float(sf.normal_cdf(v))
-            elif u >= 0.0:
+            elif upper:
                 val = float(sf.normal_cdf(-spec.shift + b))
             else:
                 val = float(sf.normal_cdf(-spec.shift - b))
         elif kind == SOFT:
-            val = float(sf.normal_cdf(v + b)) if u >= 0.0 else float(sf.normal_cdf(v - b))
+            val = float(sf.normal_cdf(v + b)) if upper else float(sf.normal_cdf(v - b))
         else:
             z1, z2 = z_bounds(spec, x, spec.eta)
-            val = float(sf.normal_cdf(z2)) if u >= 0.0 else float(sf.normal_cdf(z1))
+            val = float(sf.normal_cdf(z2)) if upper else float(sf.normal_cdf(z1))
         return _clamp(val)
 
     m = mode.dof
@@ -219,16 +222,16 @@ def cdf(kind: str, mode: VarianceMode, spec: ComponentSpec, x: float) -> float:
         # indicator splits at s = |u|/(xi*eta): below it the estimate is kept
         s_star = abs(u) / (spec.xi * spec.eta)
         val = float(sf.normal_cdf(v)) * sf.rho_cdf(m, s_star)
-        sign = 1.0 if u >= 0.0 else -1.0
+        sign = 1.0 if upper else -1.0
         val += sf.integrate_rho(
             m,
             lambda s: float(sf.normal_cdf(-spec.shift + sign * s * b)) if s >= s_star else 0.0,
             breakpoints=[s_star])
     elif kind == SOFT:
         c = -v
-        val = sf.noncentral_t_cdf(m, c, b) if u >= 0.0 else sf.noncentral_t_cdf(m, c, -b)
+        val = sf.noncentral_t_cdf(m, c, b) if upper else sf.noncentral_t_cdf(m, c, -b)
     else:
-        if u >= 0.0:
+        if upper:
             val = sf.integrate_rho(m, lambda s: float(sf.normal_cdf(z_bounds(spec, x, s * spec.eta)[1])))
         else:
             val = sf.integrate_rho(m, lambda s: float(sf.normal_cdf(z_bounds(spec, x, s * spec.eta)[0])))

@@ -2,8 +2,12 @@
 
 Randomness is counter-based: replication ``r`` of a run with seed ``s``
 draws from ``Philox(key=(s, r))``, so its noise is bit-identical however the
-replications are scheduled or chunked.  So is its estimate, whatever the
-replication count, as every later step works row by row in a fixed order.
+replications are scheduled or chunked.  A study builds one ``Philox`` and
+re-keys it for each replication, with the counter and buffer of a fresh one,
+and draws straight into the response rows: the same streams, bit for bit,
+as a new generator per replication.  Each replication's estimate is also
+bit-identical whatever the replication count, as every later step works row
+by row in a fixed order.
 
 The study simulates responses from a fixed design, computes one of the
 five estimators (hard / soft / adaptive soft thresholding, lasso, adaptive
@@ -32,6 +36,7 @@ __all__ = [
     "default_eta",
     "SimConfig",
     "SimResult",
+    "SolverFailureRateError",
     "replication_noise",
     "run_study",
     "sample_component",
@@ -48,6 +53,10 @@ HIST_RANGE = (-6.0, 6.0)
 HIST_BINS = 60
 #: abort threshold for the fraction of replications whose solver failed
 MAX_FAILURE_RATE = 1e-3
+
+
+class SolverFailureRateError(RuntimeError):
+    """More than ``MAX_FAILURE_RATE`` of a study's replications failed to converge."""
 
 
 def default_eta(n: int) -> float:
@@ -106,10 +115,28 @@ class SimResult:
     solver_failures: int = 0
 
 
+def _fill_noise(out: np.ndarray, seed: int, first: int = 0) -> np.ndarray:
+    """Fill row ``i`` of ``out`` with the standard normal draws of replication
+    ``first + i`` of run ``seed``.
+
+    One ``Philox`` serves every row: before each row its key is set to
+    ``(seed, rep)`` with the counter and buffer of a freshly keyed ``Philox``,
+    so each row is the stream ``Philox(key=(seed, rep))`` bit for bit.
+    """
+    bitgen = np.random.Philox(key=np.array([seed, first], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
+    for rep, row in enumerate(out, start=first):
+        key[1] = rep
+        bitgen.state = fresh
+        gen.standard_normal(out=row)
+    return out
+
+
 def replication_noise(seed: int, rep: int, n: int) -> np.ndarray:
     """Standard normal draws of replication ``rep`` of run ``seed``."""
-    bitgen = np.random.Philox(key=np.array([seed, rep], dtype=np.uint64))
-    return np.random.Generator(bitgen).standard_normal(n)
+    return _fill_noise(np.empty((1, n)), seed, rep)[0]
 
 
 def _matching_kind(estimator: str) -> str:
@@ -154,23 +181,24 @@ def run_study(config: SimConfig) -> SimResult:
     eta = config.eta_value()
     reps = config.reps
 
-    noise = np.empty((reps, n))
-    for r in range(reps):
-        noise[r] = replication_noise(config.seed, r, n)
-    Y = (X @ theta)[None, :] + config.sigma * noise
+    # the noise is drawn straight into the response rows, then scaled and
+    # shifted in place: the same bits as mean + sigma * noise
+    Y = _fill_noise(np.empty((reps, n)), config.seed)
+    Y *= config.sigma
+    Y += X @ theta
 
     # one least-squares product for all replications; einsum, unlike BLAS,
     # keeps each row independent of the batch shape
     gram_inv = np.linalg.inv(X.T @ X)
     proj = gram_inv @ X.T                       # (k, n)
     theta_ls = np.einsum("rn,kn->rk", Y, proj)  # (reps, k)
-    if n > k:
-        resid = Y - np.einsum("rk,kn->rn", theta_ls, X.T.copy())
-        sigma_hat = np.sqrt(np.einsum("ij,ij->i", resid, resid) / (n - k))
+    if config.feasible:
+        # fitted values, turned into residuals in place
+        resid = np.einsum("rk,kn->rn", theta_ls, X.T.copy())
+        np.subtract(Y, resid, out=resid)
+        scale = np.sqrt(np.einsum("ij,ij->i", resid, resid) / (n - k))
     else:
-        sigma_hat = None
-
-    scale = sigma_hat if config.feasible else np.full(reps, config.sigma)
+        scale = np.full(reps, config.sigma)
     failures = 0
     if config.estimator in KINDS:
         estimates = threshold_estimate(config.estimator, theta_ls,
@@ -181,7 +209,8 @@ def run_study(config: SimConfig) -> SimResult:
         estimates, change = _lasso_rows(X, Y, theta_ls, scale, cfg, adaptive)
         failures = int(np.count_nonzero(change > cfg.tol))
         if failures > MAX_FAILURE_RATE * reps:
-            raise RuntimeError(f"{failures} of {reps} replications failed to converge")
+            raise SolverFailureRateError(
+                f"{failures} of {reps} replications failed to converge")
 
     inv_sigma = 1.0 / config.sigma if config.sigma > 0 else 1.0
     scaled = math.sqrt(n) * inv_sigma * (estimates - theta[None, :]) / xi[None, :]

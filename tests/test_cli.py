@@ -4,9 +4,11 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from threshdist import cli
 from threshdist import distributions as fd
+from threshdist import estimators as est
 from threshdist import selfcheck
 from threshdist import simulate as mc
 from threshdist import special as sf
@@ -181,6 +183,25 @@ class TestSimulate:
         assert meta["solver_failures"] == 0
 
 
+class TestSolverFailureAbort:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--variant", "I", "--rho", "0.5", "--n", "8", "--k", "4",
+         "--theta", "3,1.5,0,0", "--estimator", "lasso", "--reps", "20", "--seed", "3"],
+        ["reproduce", "--seed", "3", "--reps", "20"]], ids=["simulate", "reproduce"])
+    def test_numeric_exit_code(self, capsys, monkeypatch, tmp_path, argv):
+        # every replication runs out of its single sweep
+        monkeypatch.setattr(est.LassoConfig.__init__, "__defaults__", (1e-15, 1))
+        if argv[0] == "reproduce":
+            argv = argv + ["--out", str(tmp_path)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        lines = err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["exit_code"] == 3
+        assert payload["error"] == "20 of 20 replications failed to converge"
+
+
 class TestReproduce:
     def test_writes_all_panels(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "reproduce", "--out", str(tmp_path),
@@ -195,6 +216,11 @@ class TestSelfcheck:
         code, out, _ = run_cli(capsys, "selfcheck")
         assert code == 0
         assert out.splitlines() == [f"{name}: PASS" for name in selfcheck._CHECKS]
+
+    def test_unknown_check_exit_code(self, capsys):
+        code, out, _ = run_cli(capsys, "selfcheck", "no_such_check")
+        assert code == 3
+        assert out.splitlines() == ["no_such_check: UNKNOWN CHECK"]
 
 
 class TestUsageErrors:

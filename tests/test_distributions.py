@@ -137,6 +137,16 @@ class TestCdf:
             jump = mix.cdf(a) - mix.cdf(a - 1e-9)
             assert abs(jump - mix.atom_weight) <= 1e-8
 
+    @pytest.mark.parametrize("kind", fd.KINDS)
+    @pytest.mark.parametrize("mode", [fd.KNOWN, M4], ids=["known", "m4"])
+    def test_jump_where_atom_offset_rounds_below_zero(self, kind, mode):
+        # here x / alpha + theta / sigma evaluates below zero at the atom
+        s = spec8(0.39, xi=1.1)
+        a = s.atom_location
+        assert s.offset(a) < 0.0
+        jump = fd.cdf(kind, mode, s, a) - fd.cdf(kind, mode, s, a - 1e-9)
+        assert abs(jump - fd.deletion_probability(s, mode)) <= 1e-9
+
     def test_smoothing_identity(self):
         # unknown-variance cdf = rho-average of known-variance cdfs
         for kind in fd.KINDS:

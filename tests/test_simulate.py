@@ -14,6 +14,11 @@ DIAG = est.DesignSpec("I", 8, 4, rho=0.0)
 THETA = (3.0, 1.5, 0.0, 0.0)
 
 
+def fresh_stream(seed, rep, n):
+    """Replication noise from a newly keyed generator, independent of the package."""
+    return np.random.Generator(np.random.Philox(key=[seed, rep])).standard_normal(n)
+
+
 def small_config(**kw):
     base = dict(design=DIAG, theta=THETA, sigma=1.0, estimator="hard",
                 feasible=False, reps=2000, seed=17)
@@ -58,6 +63,32 @@ class TestDeterminism:
             shuffled[r] = mc.replication_noise(123, int(r), 8)
         direct = np.stack([mc.replication_noise(123, r, 8) for r in range(100)])
         assert np.array_equal(shuffled, direct)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63])
+    @pytest.mark.parametrize("reps", [1, 17, 300])
+    @pytest.mark.parametrize("n", [8, 404])
+    def test_study_noise_equals_fresh_philox_streams(self, seed, reps, n):
+        want = np.stack([fresh_stream(seed, r, n) for r in range(reps)])
+        assert np.array_equal(mc._fill_noise(np.empty((reps, n)), seed), want)
+        assert np.array_equal(mc.replication_noise(seed, reps - 1, n), want[-1])
+
+    def test_known_variance_study_equals_recomputation(self):
+        # least squares on regenerated noise, thresholded at the true sigma
+        n, reps, sigma, seed = 404, 300, 1.3, 29
+        design = est.DesignSpec("I", n, 4, rho=0.5)
+        theta = np.array([2.0, 0.7, 0.0, -0.6]) / math.sqrt(n)
+        res = mc.run_study(small_config(design=design, theta=tuple(theta), sigma=sigma,
+                                        feasible=False, reps=reps, seed=seed))
+        X = est.make_design(design)
+        noise = np.stack([fresh_stream(seed, r, n) for r in range(reps)])
+        ls = np.linalg.lstsq(X, (X @ theta + sigma * noise).T, rcond=None)[0].T
+        xi = np.sqrt(np.diag(np.linalg.inv(X.T @ X / n)))
+        estimate = np.where(np.abs(ls) > sigma * xi * mc.default_eta(n), ls, 0.0)
+        want = math.sqrt(n) * (estimate - theta) / (sigma * xi)
+        # a kept coordinate sits O(1) away from its deletion atom, so this
+        # also pins the zero pattern
+        assert np.max(np.abs(res.scaled_samples - want)) <= 1e-12
+        assert 0.0 < res.zero_proportion[2] < 1.0
 
     @pytest.mark.parametrize("estimator,n", [
         ("hard", 404), ("soft", 404), ("lasso", 8), ("adaptive-lasso", 8)])
