@@ -525,12 +525,11 @@ def _check_mode(mode: str) -> str:
 
 
 def _gauss_average(d: float, r: float) -> float:
-    """integral of Phi(d*t + r) phi(t) dt over the real line."""
-    if math.isinf(r):
-        return 1.0 if r > 0 else 0.0
-    val, _ = integrate.quad(lambda t: _phi_cdf(d * t + r) * float(sf.normal_pdf(t)),
-                            -12.0, 12.0, epsabs=1e-12, limit=200)
-    return min(1.0, max(0.0, val))
+    """integral of Phi(d*t + r) phi(t) dt over the real line.
+
+    It is Pr(Z1 - d*Z2 <= r) for independent standard normals, and
+    Z1 - d*Z2 is N(0, 1 + d^2)."""
+    return _phi_cdf(r / math.hypot(1.0, d))
 
 
 def limit_selection_probability(params: RegimeParams, mode: str) -> float:
@@ -694,8 +693,8 @@ def oracle_limit(kind: str, params: RegimeParams) -> LimitDistribution:
 
 def uniform_rate(n: int, xi: float, eta: float) -> float:
     """min(sqrt(n)/xi, 1/(xi*eta)), the uniform consistency rate."""
-    if n < 1 or xi <= 0 or eta <= 0:
-        raise ValueError("n, xi, eta must be positive")
+    if not (n >= 1 and math.isfinite(xi) and xi > 0 and math.isfinite(eta) and eta > 0):
+        raise ValueError("n must be positive, xi and eta finite and positive")
     return min(math.sqrt(n) / xi, 1.0 / (xi * eta))
 
 

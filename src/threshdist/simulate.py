@@ -89,8 +89,12 @@ class SimConfig:
             raise ValueError(f"theta must have length k={self.design.k}")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not all(math.isfinite(t) for t in self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta!r}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+        if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be finite and positive, got {self.eta!r}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.feasible and self.design.n <= self.design.k:

@@ -212,10 +212,22 @@ class TestReproduce:
 
 
 class TestSelfcheck:
-    def test_every_check_passes(self, capsys):
+    # stub registries whose order is not alphabetical: "run all" keeps
+    # registry order; the checks themselves run in tests/test_selfcheck.py
+    def test_every_check_passes(self, capsys, monkeypatch):
+        monkeypatch.setattr(selfcheck, "_CHECKS", {"zeta": lambda: None, "alpha": lambda: None})
         code, out, _ = run_cli(capsys, "selfcheck")
         assert code == 0
-        assert out.splitlines() == [f"{name}: PASS" for name in selfcheck._CHECKS]
+        assert out.splitlines() == ["zeta: PASS", "alpha: PASS"]
+
+    def test_failing_check_exit_code(self, capsys, monkeypatch):
+        def broken():
+            raise AssertionError("off by 0.5")
+
+        monkeypatch.setattr(selfcheck, "_CHECKS", {"passes": lambda: None, "broken": broken})
+        code, out, _ = run_cli(capsys, "selfcheck")
+        assert code == 3
+        assert out.splitlines()[:2] == ["passes: PASS", "broken: FAIL (off by 0.5)"]
 
     def test_unknown_check_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "selfcheck", "no_such_check")
@@ -223,9 +235,24 @@ class TestSelfcheck:
         assert out.splitlines() == ["no_such_check: UNKNOWN CHECK"]
 
 
+SIMULATE = ["simulate", "--variant", "I", "--rho", "0.3", "--n", "8", "--k", "4",
+            "--theta", "3,1.5,0,0", "--estimator", "hard", "--reps", "50", "--seed", "1"]
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--n", "100", "--xi", "nan", "--eta", "0.1"],
+        ["rate", "--n", "100", "--xi", "1", "--eta", "nan"],
+        SIMULATE + ["--sigma", "nan"],
+        SIMULATE + ["--sigma", "inf"],
+    ], ids=["rate-xi-nan", "rate-eta-nan", "simulate-sigma-nan", "simulate-sigma-inf"])
+    def test_non_finite_input(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["exit_code"] == 2
 
     def test_unknown_flag(self, capsys):
         assert run_cli(capsys, "rate", "--n", "4", "--xi", "1", "--eta", "1",

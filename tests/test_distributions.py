@@ -147,21 +147,6 @@ class TestCdf:
         jump = fd.cdf(kind, mode, s, a) - fd.cdf(kind, mode, s, a - 1e-9)
         assert abs(jump - fd.deletion_probability(s, mode)) <= 1e-9
 
-    def test_smoothing_identity(self):
-        # unknown-variance cdf = rho-average of known-variance cdfs
-        for kind in fd.KINDS:
-            s = spec8(1.5)
-            for x in np.linspace(-5.0, 5.0, 21):
-                lhs = fd.cdf(kind, M4, s, float(x))
-
-                def averaged(t, x=float(x)):
-                    st_ = fd.ComponentSpec(8, 1.0, 1.5, 1.0, t * ETA8, alpha=s.alpha)
-                    return fd.cdf(kind, fd.KNOWN, st_, x)
-
-                bp = [abs(s.offset(float(x))) / (s.xi * s.eta)] if kind == fd.HARD else None
-                rhs = sf.integrate_rho(4, averaged, breakpoints=bp)
-                assert abs(lhs - rhs) <= 1e-7
-
     def test_soft_unknown_equals_t_closed_form_and_quadrature(self):
         s = spec8(1.5)
         b = math.sqrt(8) * ETA8
@@ -230,17 +215,6 @@ class TestDensity:
                 continue
             num = (fd.cdf(kind, mode, s, x + h) - fd.cdf(kind, mode, s, x - h)) / (2 * h)
             assert abs(num - fd.ac_density(kind, mode, s, x)) <= 1e-5, (kind, x)
-
-    def test_cdf_is_integral_of_density_plus_atom(self):
-        for kind in fd.KINDS:
-            for mode in (fd.KNOWN, M4):
-                mix = fd.as_mixture(kind, mode, spec8(1.5))
-                for x in (-2.0, 0.3, 1.8):
-                    val, _ = integrate.quad(
-                        mix.ac_density, -40.0, x, limit=400,
-                        points=[p for p in (mix.atom_location,) if p < x])
-                    jump = mix.atom_weight if x >= mix.atom_location else 0.0
-                    assert abs(mix.cdf(x) - (val + jump)) <= 1e-7
 
 
 class TestArbitraryScaling:

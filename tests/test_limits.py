@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from threshdist import distributions as fd
 from threshdist import limits as lm
@@ -84,6 +84,23 @@ class TestSelectionProbabilityLimits:
             P(e=INF, zeta=1.0, dof=INF, d=1.0, r=INF), "unknown") == 1.0
         assert lm.limit_selection_probability(
             P(e=INF, zeta=1.0, dof=INF, d=1.0, r=-INF), "unknown") == 0.0
+
+    def test_gaussian_average_is_exact(self):
+        # 0 < d < inf averages Phi(d*t + r) over t ~ N(0, 1): the law of
+        # Z1 - d*Z2 at r.  The quadrature oracle splits at the step t = -r/d
+        # and 10 step widths 1/d to either side of it.
+        for d in (0.01, 1.5, 30.0, 1000.0):
+            for r in (-5.0, 0.0, 2.0, 8.0):
+                params = P(e=INF, zeta=1.0, dof=INF, d=d, r=r)
+                val = lm.limit_selection_probability(params, "unknown")
+                assert val == lm.limit_distribution("hard", "unknown", params).weight_at_loc1
+                assert abs(val - stats.norm.cdf(r, scale=math.sqrt(1.0 + d * d))) <= 1e-14
+                step = -r / d
+                quad, _ = integrate.quad(
+                    lambda t: float(sf.normal_cdf(d * t + r) * sf.normal_pdf(t)), -12.0, 12.0,
+                    points=[p for p in (step - 10.0 / d, step, step + 10.0 / d) if abs(p) < 12.0],
+                    epsabs=1e-14, limit=200)
+                assert abs(val - quad) <= 1e-12, (d, r)
 
 
 class TestLimitDistributionDispatch:
@@ -205,19 +222,6 @@ class TestLimitFamilies:
                     assert abs(fd.cdf(kind, mode, spec, float(x))
                                - fam.cdf(float(x))) <= 1e-8, (kind, n, x)
 
-    def test_excised_normal_matches_finite_sample_exactly(self):
-        # along theta_n = nu sigma xi / sqrt(n), eta_n = e / sqrt(n) the
-        # finite-sample cdf at scaling sqrt(n)/xi is the limit identically
-        nu, e = 1.0, 1.95996
-        fams = {fd.HARD: lm.ExcisedNormal(nu, e), fd.SOFT: lm.SoftShiftNormal(nu, e),
-                fd.ADAPTIVE: lm.AdaptiveKnown(nu, e)}
-        for n in (100, 10_000):
-            spec = fd.ComponentSpec(n, 1.0, nu / math.sqrt(n), 1.0, e / math.sqrt(n))
-            for kind, fam in fams.items():
-                for x in np.linspace(-6.0, 6.0, 61):
-                    assert abs(fd.cdf(kind, fd.KNOWN, spec, float(x))
-                               - fam.cdf(float(x))) <= 1e-12
-
     def test_oracle_hard_boundary_masses(self):
         phi_r = float(sf.normal_cdf(0.2))
         # zeta = 1: deletion mass escapes to -inf, evaluator starts at Phi(r)
@@ -279,8 +283,10 @@ class TestUniformRate:
             assert lm.uniform_rate(n, 1.0, eta) == math.sqrt(n)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            lm.uniform_rate(0, 1.0, 0.5)
+        for n, xi, eta in [(0, 1.0, 0.5), (math.nan, 1.0, 0.5), (100, math.nan, 0.1),
+                           (100, 1.0, math.nan), (100, math.inf, 0.1)]:
+            with pytest.raises(ValueError):
+                lm.uniform_rate(n, xi, eta)
 
 
 class TestTvDistance:

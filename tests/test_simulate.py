@@ -34,6 +34,12 @@ class TestSimConfig:
             small_config(estimator="ridge")
         with pytest.raises(ValueError):
             small_config(reps=0)
+        for bad in (dict(sigma=math.nan), dict(sigma=math.inf), dict(sigma=-1.0),
+                    dict(theta=(3.0, math.inf, 0.0, 0.0)), dict(eta=math.nan),
+                    dict(eta=math.inf), dict(eta=0.0)):
+            with pytest.raises(ValueError):
+                small_config(**bad)
+        assert small_config(sigma=0.0).sigma == 0.0  # the noiseless test hook
         with pytest.raises(ValueError):
             mc.SimConfig(design=est.DesignSpec("II", 4, 4, c=0.2), theta=(0.0,) * 4,
                          sigma=1.0, estimator="hard", feasible=True, reps=10, seed=0)

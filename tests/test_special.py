@@ -151,30 +151,3 @@ class TestNoncentralT:
     def test_invalid_dof(self):
         with pytest.raises(ValueError):
             sf.noncentral_t_cdf(0, 1.0, 0.5)
-
-
-def test_noncentral_t_smoothing_identity_grid():
-    # integral of Phi(a + b s) rho_m(s) ds = t cdf at b, non-centrality -a
-    for m in (1, 4, 16):
-        for a in (-2.0, 0.0, 1.5):
-            for b in (-1.0, 0.0, 2.0):
-                lhs = sf.integrate_rho(m, lambda s: float(sf.normal_cdf(a + b * s)))
-                assert abs(lhs - sf.noncentral_t_cdf(m, -a, b)) <= 1e-8
-
-
-def test_rescaled_rho_converges_to_normal_in_l1():
-    def l1(m):
-        scale = 1.0 / math.sqrt(2.0 * m)
-
-        def f(t):
-            return abs(scale * float(sf.rho_density(m, scale * t + 1.0))
-                       - float(sf.normal_pdf(t)))
-
-        val, _ = integrate.quad(f, -60.0, 60.0, limit=400,
-                                points=[-math.sqrt(2.0 * m)] if 2 * m <= 3600 else None)
-        return val
-
-    dists = [l1(m) for m in (4, 16, 64, 256)]
-    assert all(math.isfinite(v) for v in dists)
-    assert all(b < a for a, b in zip(dists, dists[1:]))
-    assert dists[-1] <= 0.05
