@@ -28,6 +28,6 @@ from .simulate import (SimConfig, SimResult, default_eta, empirical_mixed_cdf,
                        sample_component)
 from .special import (QuadratureError, chi_square_tail, integrate_rho,
                       noncentral_t_cdf, normal_cdf, normal_pdf,
-                      normal_quantile, rho_density)
+                      normal_quantile, rho_average, rho_density)
 
 __version__ = "0.1.0"

@@ -105,15 +105,10 @@ def _cmd_dist(args) -> int:
     spec = _spec_from_args(args)
     mode = _mode_from_args(args)
     mix = fd.as_mixture(args.kind, mode, spec)
-    rows = []
-    for x in _dist_grid(mix):
-        rows.append({
-            "x": float(x),
-            "cdf": mix.cdf(float(x)),
-            "ac_density": mix.ac_density(float(x)),
-            "atom_location": mix.atom_location,
-            "atom_weight": mix.atom_weight,
-        })
+    grid = _dist_grid(mix)
+    rows = [{"x": float(x), "cdf": float(c), "ac_density": float(d),
+             "atom_location": mix.atom_location, "atom_weight": mix.atom_weight}
+            for x, c, d in zip(grid, mix.cdf(grid), mix.ac_density(grid))]
     _emit(rows, args.format, args.out)
     return EXIT_OK
 
@@ -201,12 +196,13 @@ def _write_result_files(result: mc.SimResult, prefix: str) -> None:
     k = result.config.design.k
     for i in range(k):
         mix = result.overlay[i]
+        density = mix.ac_density(mids)
         with open(f"{prefix}_comp{i + 1}.csv", "w", encoding="utf-8") as fh:
             fh.write("bin_left,bin_right,hist_height,x,overlay_ac_density,"
                      "overlay_atom_location,overlay_atom_weight,zero_proportion\n")
             for j, x in enumerate(mids):
                 row = (result.hist_edges[j], result.hist_edges[j + 1],
-                       result.hist_heights[i, j], x, mix.ac_density(float(x)),
+                       result.hist_heights[i, j], x, density[j],
                        mix.atom_location, mix.atom_weight, result.zero_proportion[i])
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
     meta = {

@@ -4,8 +4,12 @@ Each estimator (hard, soft, adaptive soft; known or unknown error variance)
 has, after centering at the true coefficient and scaling by ``alpha/sigma``,
 a mixed distribution: an atom at ``-alpha*theta/sigma`` whose weight is the
 variable deletion probability, plus an absolutely continuous part.  The
-functions here evaluate those cdfs and densities exactly; every probability
-is clamped to [0, 1] after quadrature.
+functions here evaluate those cdfs and densities exactly, at a scalar or at
+a whole array of points.  The known-variance laws are closed forms in Phi.
+Each unknown-variance law is the known-variance law with the threshold
+scaled by s = sigmahat/sigma, averaged over s ~ rho_m with
+:func:`special.rho_average`; every probability is clamped to [0, 1] after
+quadrature.
 
 Branch boundaries pair weak and strict inequalities so that every cdf is
 right-continuous; at the atom the value belongs to the upper branch.
@@ -17,6 +21,8 @@ import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from . import special as sf
 
@@ -146,16 +152,25 @@ class ComponentSpec:
 
 @dataclass(frozen=True)
 class MixtureDistribution:
-    """Atom plus absolutely continuous part, with evaluators."""
+    """Atom plus absolutely continuous part, with evaluators.
+
+    ``cdf`` and ``ac_density`` take a scalar, giving a float, or an array,
+    giving an array of its shape.
+    """
 
     atom_location: float
     atom_weight: float
-    cdf: Callable[[float], float]
-    ac_density: Callable[[float], float]
+    cdf: Callable
+    ac_density: Callable
 
 
 def _clamp(p: float) -> float:
     return min(1.0, max(0.0, p))
+
+
+def _deleted(shift, b):
+    """Known-variance deletion probability at standardized shift and threshold b."""
+    return sf.normal_cdf(-shift + b) - sf.normal_cdf(-shift - b)
 
 
 def deletion_probability(spec: ComponentSpec, mode: VarianceMode = KNOWN) -> float:
@@ -165,132 +180,135 @@ def deletion_probability(spec: ComponentSpec, mode: VarianceMode = KNOWN) -> flo
     """
     b = spec.root_n * spec.eta
     if mode.known:
-        return _clamp(float(sf.normal_cdf(-spec.shift + b)) - float(sf.normal_cdf(-spec.shift - b)))
-    m = mode.dof
-    return _clamp(sf.noncentral_t_cdf(m, spec.shift, b) - sf.noncentral_t_cdf(m, spec.shift, -b))
+        return _clamp(float(_deleted(spec.shift, b)))
+    # the one point is the shift; the deletion window turns at s = |shift| / b
+    val = sf.rho_average(mode.dof, lambda shift, s: _deleted(shift, s * b), [spec.shift],
+                         [abs(spec.shift) / b])
+    return _clamp(float(val[0]))
+
+
+def _adaptive_roots(spec: ComponentSpec, x, y):
+    """a = offset / (2 xi), the center of the adaptive-soft roots and hypot(a, y);
+    the roots are center -+ sqrt(n) * hypot(a, y)."""
+    a = 0.5 * spec.offset(x) / spec.xi
+    center = 0.5 * spec.root_n * (x / spec.alpha - spec.theta / spec.sigma) / spec.xi
+    return a, center, np.hypot(a, y)
 
 
 def z_bounds(spec: ComponentSpec, x: float, y: float) -> tuple[float, float]:
     """The two roots bounding the adaptive-soft cdf branches, z1 <= z2."""
     if y < 0:
         raise ValueError(f"y must be nonnegative, got {y!r}")
-    center = 0.5 * spec.root_n * (x / spec.alpha - spec.theta / spec.sigma) / spec.xi
-    half = spec.root_n * math.hypot(0.5 * spec.offset(x) / spec.xi, y)
+    _, center, r = _adaptive_roots(spec, x, y)
+    half = spec.root_n * r
     return center - half, center + half
 
 
 def t_factor(spec: ComponentSpec, x: float, y: float) -> float:
     """Derivative factor of the adaptive-soft density; in [-1, 1]."""
-    a = 0.5 * spec.offset(x) / spec.xi
-    denom = math.hypot(a, y)
-    if denom == 0.0:
-        return 0.0
-    return a / denom
+    a, _, r = _adaptive_roots(spec, x, y)
+    return float(a / r) if r else 0.0
 
 
-def cdf(kind: str, mode: VarianceMode, spec: ComponentSpec, x: float) -> float:
-    """Cdf of sigma^{-1} * alpha * (estimate - theta) at x (x may be +-inf)."""
-    _check_kind(kind)
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("cdf argument must not be NaN")
-    if math.isinf(x):
-        return 1.0 if x > 0 else 0.0
+# The laws below are the known-variance laws with the threshold scaled by
+# s = sigmahat / sigma, for x and s that broadcast; s = 1 is known variance,
+# and the average over s ~ rho_m is the law with m residual dof.
+
+def _cdf_given(kind: str, spec: ComponentSpec, x, s):
     u = spec.offset(x)
     # the atom belongs to the upper branch (right-continuity) even when its
     # offset rounds below zero
-    upper = u >= 0.0 or x == spec.atom_location
-    v = spec.standardized(x)
-    b = spec.root_n * spec.eta
-    if mode.known:
-        if kind == HARD:
-            if abs(u) > spec.xi * spec.eta:
-                val = float(sf.normal_cdf(v))
-            elif upper:
-                val = float(sf.normal_cdf(-spec.shift + b))
-            else:
-                val = float(sf.normal_cdf(-spec.shift - b))
-        elif kind == SOFT:
-            val = float(sf.normal_cdf(v + b)) if upper else float(sf.normal_cdf(v - b))
-        else:
-            z1, z2 = z_bounds(spec, x, spec.eta)
-            val = float(sf.normal_cdf(z2)) if upper else float(sf.normal_cdf(z1))
-        return _clamp(val)
-
-    m = mode.dof
+    side = 2.0 * ((u >= 0.0) | (x == spec.atom_location)) - 1.0
+    b = spec.root_n * (s * spec.eta)
     if kind == HARD:
-        # indicator splits at s = |u|/(xi*eta): below it the estimate is kept
-        s_star = abs(u) / (spec.xi * spec.eta)
-        val = float(sf.normal_cdf(v)) * sf.rho_cdf(m, s_star)
-        sign = 1.0 if upper else -1.0
-        val += sf.integrate_rho(
-            m,
-            lambda s: float(sf.normal_cdf(-spec.shift + sign * s * b)) if s >= s_star else 0.0,
-            breakpoints=[s_star])
-    elif kind == SOFT:
-        c = -v
-        val = sf.noncentral_t_cdf(m, c, b) if upper else sf.noncentral_t_cdf(m, c, -b)
-    else:
-        if upper:
-            val = sf.integrate_rho(m, lambda s: float(sf.normal_cdf(z_bounds(spec, x, s * spec.eta)[1])))
-        else:
-            val = sf.integrate_rho(m, lambda s: float(sf.normal_cdf(z_bounds(spec, x, s * spec.eta)[0])))
-    return _clamp(val)
-
-
-def ac_density(kind: str, mode: VarianceMode, spec: ComponentSpec, x: float) -> float:
-    """Density of the absolutely continuous part at finite x."""
-    _check_kind(kind)
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"density argument must be finite, got {x!r}")
-    u = spec.offset(x)
-    v = spec.standardized(x)
-    b = spec.root_n * spec.eta
-    scale = spec.root_n / (spec.alpha * spec.xi)
-    if mode.known:
-        if kind == HARD:
-            return scale * float(sf.normal_pdf(v)) if abs(u) > spec.xi * spec.eta else 0.0
-        if kind == SOFT:
-            if u > 0.0:
-                return scale * float(sf.normal_pdf(v + b))
-            if u < 0.0:
-                return scale * float(sf.normal_pdf(v - b))
-            return 0.0
-        z1, z2 = z_bounds(spec, x, spec.eta)
-        t = t_factor(spec, x, spec.eta)
-        if u > 0.0:
-            return 0.5 * scale * float(sf.normal_pdf(z2)) * (1.0 + t)
-        if u < 0.0:
-            return 0.5 * scale * float(sf.normal_pdf(z1)) * (1.0 - t)
-        return 0.0
-
-    m = mode.dof
-    if kind == HARD:
-        # the inner indicator integral collapses to the rho cdf at |u|/(xi*eta)
-        s_star = abs(u) / (spec.xi * spec.eta)
-        return scale * float(sf.normal_pdf(v)) * sf.rho_cdf(m, s_star)
+        kept = abs(u) > spec.xi * (s * spec.eta)
+        return np.where(kept, sf.normal_cdf(spec.standardized(x)),
+                        sf.normal_cdf(-spec.shift + side * b))
     if kind == SOFT:
-        # the integrand is a Gaussian needle in s when b is large; hand its
-        # peak to the quadrature as a breakpoint
-        if u > 0.0:
-            return scale * sf.integrate_rho(m, lambda s: float(sf.normal_pdf(v + s * b)),
-                                            breakpoints=[-v / b])
-        if u < 0.0:
-            return scale * sf.integrate_rho(m, lambda s: float(sf.normal_pdf(v - s * b)),
-                                            breakpoints=[v / b])
-        return 0.0
-    if u > 0.0:
-        def upper(s: float) -> float:
-            z2 = z_bounds(spec, x, s * spec.eta)[1]
-            return float(sf.normal_pdf(z2)) * (1.0 + t_factor(spec, x, s * spec.eta))
-        return 0.5 * scale * sf.integrate_rho(m, upper)
-    if u < 0.0:
-        def lower(s: float) -> float:
-            z1 = z_bounds(spec, x, s * spec.eta)[0]
-            return float(sf.normal_pdf(z1)) * (1.0 - t_factor(spec, x, s * spec.eta))
-        return 0.5 * scale * sf.integrate_rho(m, lower)
-    return 0.0
+        return sf.normal_cdf(spec.standardized(x) + side * b)
+    _, center, r = _adaptive_roots(spec, x, s * spec.eta)
+    return sf.normal_cdf(center + side * (spec.root_n * r))
+
+
+def _density_given(kind: str, spec: ComponentSpec, x, s):
+    u = spec.offset(x)
+    side = np.sign(u)  # the density vanishes where u = 0
+    scale = spec.root_n / (spec.alpha * spec.xi)
+    if kind == HARD:
+        return np.where(abs(u) > spec.xi * (s * spec.eta),
+                        scale * sf.normal_pdf(spec.standardized(x)), 0.0)
+    if kind == SOFT:
+        b = spec.root_n * (s * spec.eta)
+        return abs(side) * scale * sf.normal_pdf(spec.standardized(x) + side * b)
+    a, center, r = _adaptive_roots(spec, x, s * spec.eta)
+    t = a / np.where(r == 0.0, 1.0, r)  # a = 0 where r = 0
+    return (abs(side) * 0.5 * scale * sf.normal_pdf(center + side * (spec.root_n * r))
+            * (1.0 + side * t))
+
+
+def _breakpoints(kind: str, spec: ComponentSpec, x):
+    """Where the law at x, as a function of s, jumps or bends."""
+    if kind == HARD:
+        # the estimate is kept for s below |u| / (xi eta)
+        return abs(spec.offset(x)) / (spec.xi * spec.eta)
+    if kind == SOFT:
+        # Phi(v -+ s b) turns, and its density peaks, at |v| / b
+        return abs(spec.standardized(x)) / (spec.root_n * spec.eta)
+    # hypot(a, s eta) bends at |a| / eta, which is tiny next to the atom
+    return abs(0.5 * spec.offset(x) / spec.xi) / spec.eta
+
+
+def _law(given, kind: str, mode: VarianceMode, spec: ComponentSpec, x):
+    """The law ``given`` at finite x: its known-variance closed form, or its
+    average over the law of sigmahat / sigma."""
+    if mode.known:
+        return given(kind, spec, x, 1.0)
+    val = sf.rho_average(mode.dof, lambda xs, s: given(kind, spec, xs, s), x,
+                         _breakpoints(kind, spec, x))
+    return val.reshape(np.shape(x))
+
+
+def _as_points(x):
+    """A float for a scalar, else a float array of the same shape."""
+    if not isinstance(x, float):
+        x = np.asarray(x, dtype=float)
+        if x.ndim:
+            return x
+    return float(x)
+
+
+def cdf(kind: str, mode: VarianceMode, spec: ComponentSpec, x):
+    """Cdf of sigma^{-1} * alpha * (estimate - theta) at x (x may be +-inf).
+
+    A scalar x gives a float, an array gives an array of its shape.
+    """
+    _check_kind(kind)
+    x = _as_points(x)
+    if isinstance(x, float):
+        if math.isnan(x):
+            raise ValueError("cdf argument must not be NaN")
+        if math.isinf(x):
+            return 1.0 if x > 0 else 0.0
+        return _clamp(float(_law(_cdf_given, kind, mode, spec, x)))
+    if np.isnan(x).any():
+        raise ValueError("cdf argument must not be NaN")
+    out = np.where(x > 0.0, 1.0, 0.0)
+    finite = np.isfinite(x)
+    out[finite] = np.clip(_law(_cdf_given, kind, mode, spec, x[finite]), 0.0, 1.0)
+    return out
+
+
+def ac_density(kind: str, mode: VarianceMode, spec: ComponentSpec, x):
+    """Density of the absolutely continuous part at finite x.
+
+    A scalar x gives a float, an array gives an array of its shape.
+    """
+    _check_kind(kind)
+    x = _as_points(x)
+    if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
+        raise ValueError(f"density argument must be finite, got {x!r}")
+    out = _law(_density_given, kind, mode, spec, x)
+    return float(out) if isinstance(x, float) else out
 
 
 def as_mixture(kind: str, mode: VarianceMode, spec: ComponentSpec) -> MixtureDistribution:

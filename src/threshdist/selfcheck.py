@@ -147,11 +147,13 @@ def soft_unknown_closed_form_vs_quadrature():
     for spec in _specs():
         b = spec.root_n * spec.eta
         for x in np.linspace(-6.0, 6.0, 61):
-            closed = fd.cdf(fd.SOFT, mode, spec, float(x))
+            law = fd.cdf(fd.SOFT, mode, spec, float(x))
             v = spec.standardized(float(x))
             sign = 1.0 if spec.offset(float(x)) >= 0.0 else -1.0
+            closed = sf.noncentral_t_cdf(m, -v, sign * b)
             quad = sf.integrate_rho(m, lambda s: float(sf.normal_cdf(v + sign * s * b)))
-            assert abs(closed - quad) <= 1e-8, f"x={x}: {closed} vs {quad}"
+            assert abs(law - closed) <= 1e-8 and abs(law - quad) <= 1e-8, \
+                f"x={x}: {law} vs nct {closed}, quadrature {quad}"
 
 
 @_check

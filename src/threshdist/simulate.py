@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -95,8 +96,9 @@ class SimConfig:
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
         if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be finite and positive, got {self.eta!r}")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        if not (isinstance(self.reps, numbers.Integral) and self.reps >= 1):
+            raise ValueError(f"reps must be a positive integer, got {self.reps!r}")
+        object.__setattr__(self, "reps", int(self.reps))
         if self.feasible and self.design.n <= self.design.k:
             raise ValueError("feasible estimators need n > k residual degrees of freedom")
 
@@ -283,7 +285,7 @@ def ks_distance(empirical: EmpiricalMixedCdf, analytic: MixtureDistribution,
     grid = np.asarray(grid, dtype=float)
     emp_right = empirical(grid)
     emp_left = empirical.left(grid)
-    ana_right = np.array([analytic.cdf(float(x)) for x in grid])
+    ana_right = analytic.cdf(grid)
     at_atom = grid == analytic.atom_location
     ana_left = ana_right - analytic.atom_weight * at_atom
     return float(max(np.max(np.abs(emp_right - ana_right)),
@@ -376,6 +378,8 @@ def reproduce_figures(out_dir: str, seed: int, reps: int = 10_000) -> list[str]:
         for i in range(design.k):
             mix = result.overlay[i]
             known = known_overlay[i]
+            density = mix.ac_density(mids)
+            known_density = known.ac_density(mids)
             path = os.path.join(out_dir, f"{name}_comp{i + 1}.csv")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("bin_left,bin_right,hist_height,x,overlay_ac_density,"
@@ -384,9 +388,8 @@ def reproduce_figures(out_dir: str, seed: int, reps: int = 10_000) -> list[str]:
                          "zero_proportion\n")
                 for j, x in enumerate(mids):
                     row = (result.hist_edges[j], result.hist_edges[j + 1],
-                           result.hist_heights[i, j], x, mix.ac_density(float(x)),
-                           known.ac_density(float(x)), mix.atom_location,
-                           mix.atom_weight, known.atom_weight,
+                           result.hist_heights[i, j], x, density[j], known_density[j],
+                           mix.atom_location, mix.atom_weight, known.atom_weight,
                            result.zero_proportion[i])
                     fh.write(",".join(repr(float(v)) for v in row) + "\n")
             paths.append(path)

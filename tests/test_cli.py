@@ -170,6 +170,12 @@ class TestSimulate:
                              "--estimator", "hard", "--reps", "10")
         assert code == 2
 
+    def test_non_integral_reps_exit_code(self, capsys):
+        code, _, _ = run_cli(capsys, "simulate", "--variant", "I", "--rho", "0",
+                             "--n", "8", "--k", "4", "--theta", "0,0,0,0",
+                             "--estimator", "hard", "--reps", "10.5", "--seed", "1")
+        assert code == 2
+
     def test_file_outputs(self, capsys, tmp_path):
         prefix = tmp_path / "study"
         code, _, _ = run_cli(capsys, "simulate", "--variant", "II", "--c", "0.2",

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from threshdist import distributions as fd
@@ -297,3 +299,148 @@ class TestAsMixture:
         w = mix.atom_weight
         se = math.sqrt(w * (1 - w) / reps)
         assert abs(np.mean(vals == 0.0) - w) <= 3.0 * se
+
+
+def scaled(spec, s):
+    """spec with its threshold eta scaled by s = sigmahat / sigma."""
+    return replace(spec, eta=s * spec.eta)
+
+
+def bend(kind, spec, x):
+    """Where the known law at x, as a function of s, jumps or bends."""
+    u = spec.offset(x)
+    if kind == fd.HARD:
+        return abs(u) / (spec.xi * spec.eta)
+    if kind == fd.SOFT:
+        return abs(spec.standardized(x)) / (spec.root_n * spec.eta)
+    return abs(0.5 * u / spec.xi) / spec.eta
+
+
+def quadpack(law, kind, m, spec, x):
+    """The known-variance law at x averaged over s ~ rho_m: one adaptive
+    QUADPACK integral per point, split at the law's breakpoint, at 1e-12
+    (at 1e-10 QUADPACK misses the dof-1 adaptive feature by 6e-10)."""
+    return sf.integrate_rho(m, lambda s: law(kind, fd.KNOWN, scaled(spec, s), x),
+                            tol=1e-12, breakpoints=[bend(kind, spec, x)])
+
+
+class TestSmoothedLaws:
+    """Unknown-variance laws, whole grids at once, against one QUADPACK
+    integral per point at the package's 1e-10 tolerance."""
+
+    @pytest.mark.parametrize("m", [1, 4, 24, 300])
+    @pytest.mark.parametrize("kind", fd.KINDS)
+    def test_grid_matches_per_point_quadrature(self, kind, m):
+        for theta in (0.0, 1.5):
+            spec = spec8(theta, xi=1.3)
+            a = spec.atom_location
+            x = np.concatenate([np.linspace(-5.0, 5.0, 9), [a - 1e-9, a, a + 1e-9]])
+            for law in (fd.cdf, fd.ac_density):
+                got = law(kind, fd.VarianceMode(m), spec, x)
+                want = [quadpack(law, kind, m, spec, float(v)) for v in x]
+                assert np.max(np.abs(got - want)) <= 1e-10, (law.__name__, theta)
+
+    @pytest.mark.parametrize("kind", fd.KINDS)
+    def test_needle_integrands(self, kind):
+        # b = sqrt(n) * eta = 50: the integrands in s are needles of width 1/50
+        spec = fd.ComponentSpec(10_000, 1.0, 0.4, 1.0, 0.5)
+        a = spec.atom_location
+        off = 1e-9 * abs(a)
+        # hard's integrand jumps at s* = |u| / (xi eta) = 0.5, 1 and 2 here
+        jumps = [spec.alpha * (sign * r * spec.xi * spec.eta - spec.theta / spec.sigma)
+                 for sign in (1.0, -1.0) for r in (0.5, 1.0, 2.0)]
+        x = np.array([a - off, a, a + off, *jumps, 3.0])
+        for m in (1, 4, 24):
+            for law in (fd.cdf, fd.ac_density):
+                got = law(kind, fd.VarianceMode(m), spec, x)
+                want = [quadpack(law, kind, m, spec, float(v)) for v in x]
+                assert np.max(np.abs(got - want)) <= 1e-10, (law.__name__, m)
+
+    def test_points_that_miss_the_tolerance_fall_back(self, monkeypatch):
+        calls = []
+        quad = sf.integrate_rho
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return quad(*args, **kwargs)
+
+        # one node per panel against two cannot agree to 1e-10
+        monkeypatch.setattr(sf, "RULE_NODES", 1)
+        monkeypatch.setattr(sf, "integrate_rho", counted)
+        spec = spec8(1.5)
+        x = np.linspace(-3.0, 3.0, 7)
+        for kind in fd.KINDS:
+            for law in (fd.cdf, fd.ac_density):
+                del calls[:]
+                got = law(kind, M4, spec, x)
+                assert calls == [4] * x.size
+                want = [quadpack(law, kind, 4, spec, float(v)) for v in x]
+                assert np.max(np.abs(got - want)) <= 1e-10
+
+    @pytest.mark.parametrize("mode", [fd.KNOWN, M4], ids=["known", "m4"])
+    def test_scalar_and_array_agree(self, mode):
+        spec = spec8(1.5)
+        x = np.array([-math.inf, -2.0, spec.atom_location, 0.3, math.inf])
+        inner = x[1:-1]
+        for kind in fd.KINDS:
+            cdf = fd.cdf(kind, mode, spec, x)
+            assert cdf.shape == x.shape and cdf[0] == 0.0 and cdf[-1] == 1.0
+            for v, want in zip(x, cdf):
+                got = fd.cdf(kind, mode, spec, float(v))
+                assert type(got) is float and got == want
+                assert fd.cdf(kind, mode, spec, np.float64(v)) == want
+            density = fd.ac_density(kind, mode, spec, inner)
+            for v, want in zip(inner, density):
+                got = fd.ac_density(kind, mode, spec, np.float64(v))
+                assert type(got) is float and got == want
+            assert fd.cdf(kind, mode, spec, np.int64(1)) == fd.cdf(kind, mode, spec, 1.0)
+            grid = inner.reshape(3, 1)
+            assert np.array_equal(fd.cdf(kind, mode, spec, grid), cdf[1:-1].reshape(3, 1))
+            assert np.array_equal(fd.ac_density(kind, mode, spec, grid), density.reshape(3, 1))
+            with pytest.raises(ValueError):
+                fd.cdf(kind, mode, spec, np.array([0.0, math.nan]))
+            for bad in (math.nan, np.array([0.0, math.inf])):
+                with pytest.raises(ValueError):
+                    fd.ac_density(kind, mode, spec, bad)
+
+    @pytest.mark.parametrize("x", [-1e-9, 1e-9, -1e-6, 1e-6, 1e-3])
+    def test_adaptive_density_next_to_the_atom_at_one_dof(self, x):
+        # the integrand in s turns at |a| / eta, which is tiny next to the
+        # atom; the reference splits QUADPACK there at 1e-14
+        spec = spec8(0.0)
+        c = bend(fd.ADAPTIVE, spec, x)
+        lo, hi = sf.rho_support(1)
+
+        def integrand(s):
+            return fd.ac_density(fd.ADAPTIVE, fd.KNOWN, scaled(spec, s), x) * sf.rho_density(1, s)
+
+        want = sum(integrate.quad(integrand, p, q, epsabs=1e-14, epsrel=1e-14, limit=200)[0]
+                   for p, q in ((lo, c), (c, hi)))
+        got = fd.ac_density(fd.ADAPTIVE, fd.VarianceMode(1), spec, x)
+        assert abs(got - want) <= 1e-10
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(fd.KINDS), dof=st.integers(1, 400), n=st.integers(2, 10_000),
+       xi=st.floats(0.5, 3.0), shift=st.floats(-6.0, 6.0), b=st.floats(0.1, 5.0),
+       xs=st.lists(st.floats(-8.0, 8.0), min_size=2, max_size=12))
+def test_unknown_variance_law_properties(kind, dof, n, xi, shift, b, xs):
+    # shift = sqrt(n) theta / (sigma xi) and b = sqrt(n) eta
+    theta = shift * xi / math.sqrt(n)
+    spec = fd.ComponentSpec(n, xi, theta, 1.0, b / math.sqrt(n))
+    mirror = replace(spec, theta=-theta)
+    mode = fd.VarianceMode(dof)
+    a = spec.atom_location
+    # points within rounding of the atom take a branch by the rounded offset
+    near = 1e-9 * max(1.0, abs(a))
+    grid = np.sort([v for v in xs if abs(v - a) > near] + [a])
+    law = fd.cdf(kind, mode, spec, grid)
+    assert np.all((law >= 0.0) & (law <= 1.0))
+    assert np.all(np.diff(law) >= -2e-10)  # each value is within 1e-10
+    left = fd.cdf(kind, mode, spec, a - 1e-12 * max(1.0, abs(a)))
+    assert abs(fd.cdf(kind, mode, spec, a) - left - fd.deletion_probability(spec, mode)) <= 1e-9
+    # (theta, x) <-> (-theta, -x): F(x) + F'(-x) = 1 off the atom, f(x) = f'(-x)
+    off = grid != a
+    assert np.all(np.abs(law[off] + fd.cdf(kind, mode, mirror, -grid[off]) - 1.0) <= 1e-9)
+    assert np.all(np.abs(fd.ac_density(kind, mode, spec, grid)
+                         - fd.ac_density(kind, mode, mirror, -grid)) <= 1e-9)

@@ -44,6 +44,15 @@ class TestSimConfig:
             mc.SimConfig(design=est.DesignSpec("II", 4, 4, c=0.2), theta=(0.0,) * 4,
                          sigma=1.0, estimator="hard", feasible=True, reps=10, seed=0)
 
+    def test_reps_must_be_a_positive_integer(self):
+        for bad in (10.5, 10.0, "10", -3):
+            with pytest.raises(ValueError):
+                small_config(reps=bad)
+        cfg = small_config(reps=np.int64(50))
+        assert type(cfg.reps) is int and cfg == small_config(reps=50)
+        res = mc.run_study(cfg)
+        assert np.array_equal(res.scaled_samples, mc.run_study(small_config(reps=50)).scaled_samples)
+
     def test_default_eta_rule(self):
         cfg = small_config()
         assert abs(cfg.eta_value() - sf.normal_quantile(0.975) / math.sqrt(8)) <= 1e-15
@@ -207,7 +216,7 @@ class TestKsDistance:
         emp = mc.empirical_mixed_cdf(samples, 0.0)
         mix = fd.MixtureDistribution(
             0.0, 1.0,
-            cdf=lambda x: 1.0 if x >= 0.0 else 0.0,
+            cdf=lambda x: np.heaviside(x, 1.0),
             ac_density=lambda x: 0.0)
         grid = np.array([-1.0, -1e-9, 0.0, 1e-9, 2.0])
         assert mc.ks_distance(emp, mix, grid) == 0.0
