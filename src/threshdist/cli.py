@@ -140,7 +140,8 @@ def _cmd_limit(args) -> int:
         meta["direction"] = family.direction
         _emit([meta], args.format, args.out)
         return EXIT_OK
-    loc = family.atom_location
+    # the fixed-dof families integrate their atom weight on every read
+    loc, weight = family.atom_location, family.atom_weight
     rows = []
     grid = np.linspace(GRID_RANGE[0], GRID_RANGE[1], GRID_POINTS)
     if loc is not None and math.isfinite(loc):
@@ -149,7 +150,7 @@ def _cmd_limit(args) -> int:
     for x in grid:
         rows.append({"family": meta["family"], "x": float(x), "cdf": family.cdf(float(x)),
                      "atom_location": loc if loc is not None else math.nan,
-                     "atom_weight": family.atom_weight})
+                     "atom_weight": weight})
     _emit(rows, args.format, args.out)
     return EXIT_OK
 

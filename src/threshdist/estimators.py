@@ -244,7 +244,18 @@ def _lasso_rows(X: np.ndarray, Y: np.ndarray, theta_ls: np.ndarray, sigma_hat: n
     covariance form of Friedman, Hastie and Tibshirani (2010), elementwise in a
     fixed order so that a row's result does not depend on the batch.  Returns
     the solutions and each row's last largest change in a sweep; a row stops
-    once that is within ``config.tol``, so a row above it ran out of sweeps."""
+    once that is within ``config.tol``, so a row above it ran out of sweeps.
+
+    Cyclic descent usually finds the support within a few sweeps but converges
+    only linearly on correlated designs.  So after sweeps 1, 2, 4, 8, ...
+    (unless it was the last) every unconverged row also tries an exact
+    active-set step (:func:`_active_set_step`): the solution of the KKT
+    system on its current support and signs.  The step is kept only where
+    the KKT conditions hold, and the row then goes on sweeping; the next
+    sweep leaves a kept step in place up to rounding and freezes the row by
+    the usual ``change <= tol`` test, so every result is still the output of
+    a coordinate-descent sweep, and a row whose steps are all refused takes
+    the plain descent path."""
     if np.any(sigma_hat <= 0):
         raise ValueError(f"sigma_hat must be positive, got {np.min(sigma_hat)!r}")
     n, k = X.shape
@@ -257,14 +268,15 @@ def _lasso_rows(X: np.ndarray, Y: np.ndarray, theta_ls: np.ndarray, sigma_hat: n
         thresholds = n * sigma_hat ** 2 * eta_prime ** 2 / np.abs(theta_ls)
     else:
         thresholds = n * sigma_hat * eta_prime
-    g = (X.T @ X).tolist()
+    gram = X.T @ X
+    g = gram.tolist()
     # coordinate-major: one contiguous vector per coordinate; einsum rather
     # than BLAS keeps each row's X'Y independent of the batch
     theta, t = theta_ls.T.copy(), thresholds.T.copy()
     xty = np.einsum("rn,nk->rk", Y, X).T.copy()
     out, last = np.empty_like(theta), np.empty(theta.shape[1])
     rows = np.arange(theta.shape[1])
-    for _ in range(config.max_sweeps):
+    for sweep in range(1, config.max_sweeps + 1):
         old = theta.copy()
         for i in range(k):
             z = xty[i] - sum(g[i][j] * theta[j] for j in range(k) if j != i)
@@ -279,8 +291,37 @@ def _lasso_rows(X: np.ndarray, Y: np.ndarray, theta_ls: np.ndarray, sigma_hat: n
                                            t[:, keep], change[keep])
             if not rows.size:
                 break
+        if sweep & (sweep - 1) == 0 and sweep < config.max_sweeps:
+            _active_set_step(gram, xty, t, theta)
     out[:, rows], last[rows] = theta, change
     return out.T, last
+
+
+def _active_set_step(gram: np.ndarray, xty: np.ndarray, t: np.ndarray,
+                     theta: np.ndarray) -> None:
+    """Replace, in place, each column of the coordinate-major ``theta`` by the
+    lasso solution on its support A and signs, where that is one.
+
+    The candidate solves G_AA theta_A = X'Y_A - t_A * sign(theta_A) and is zero
+    off A (identity rows stand in for the inactive coordinates, so one
+    stacked solve covers every row).  It is kept only if its signs on A
+    match and the gradient g = X'Y - G theta satisfies |g_j| <= t_j off A:
+    then it satisfies the KKT conditions.  LAPACK solves each row's system
+    on its own and the gradient uses the sweep's elementwise sums in its
+    order, so a row's step does not depend on the batch."""
+    k = theta.shape[0]
+    g = gram.tolist()
+    active = theta != 0.0
+    sign = np.sign(theta)
+    a = np.where(active[:, None, :] & active[None, :, :], gram[:, :, None], 0.0)
+    diag = np.arange(k)
+    a[diag, diag] += ~active
+    rhs = np.where(active, xty - t * sign, 0.0)
+    cand = np.linalg.solve(a.transpose(2, 0, 1), rhs.T[:, :, None])[:, :, 0].T
+    cand = np.where(active, cand, 0.0)
+    grad = np.array([xty[i] - sum(g[i][j] * cand[j] for j in range(k)) for i in range(k)])
+    ok = np.where(active, np.sign(cand) == sign, np.abs(grad) <= t).all(axis=0)
+    theta[:, ok] = cand[:, ok]
 
 
 def _solve_one(data: RegressionData, config: LassoConfig, sigma_hat: float, adaptive: bool):

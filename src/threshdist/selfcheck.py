@@ -182,6 +182,26 @@ def cdf_monotone():
                 assert np.all(diffs >= -1e-12), f"{kind} not monotone"
 
 
+@_check
+def unknown_variance_approaches_known():
+    # the effect of estimating sigma vanishes as the residual dof m grows:
+    # the sup cdf distance off the atom falls like 1/m (hard: 1/sqrt(m) near
+    # the band edges), and the atom weight moves by about c/m
+    spec = fd.ComponentSpec(8, 1.3, 0.4, 1.0, mc.default_eta(8))
+    grid = np.linspace(-6.0, 6.0, 601)
+    grid = grid[grid != spec.atom_location]
+    dofs = (4, 40, 400, 4000)
+    for kind in fd.KINDS:
+        known = fd.cdf(kind, fd.KNOWN, spec, grid)
+        dists = [float(np.max(np.abs(fd.cdf(kind, fd.VarianceMode.unknown_sigma(m), spec, grid)
+                                     - known))) for m in dofs]
+        assert all(y <= x / 2.0 for x, y in zip(dists, dists[1:])), f"{kind}: {dists}"
+    weight = fd.deletion_probability(spec)
+    scaled = [m * abs(fd.deletion_probability(spec, fd.VarianceMode.unknown_sigma(m)) - weight)
+              for m in dofs[1:]]
+    assert max(scaled) - min(scaled) <= 0.02 * max(scaled), f"m * |weight change|: {scaled}"
+
+
 # -------------------------------------------------------------- asymptotics
 
 @_check

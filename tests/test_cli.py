@@ -9,6 +9,7 @@ import pytest
 from threshdist import cli
 from threshdist import distributions as fd
 from threshdist import estimators as est
+from threshdist import limits as lm
 from threshdist import selfcheck
 from threshdist import simulate as mc
 from threshdist import special as sf
@@ -119,6 +120,30 @@ class TestLimitCommand:
         payload = json.loads(out)[0]
         assert payload["family"] == "EscapesToInfinity"
         assert payload["direction"] == 1
+
+    @pytest.mark.parametrize("kind", ["hard", "adaptive"])
+    def test_atom_weight_integrated_once(self, capsys, monkeypatch, kind):
+        # one smoothing integral per cdf point and one for the atom weight,
+        # not one more per row
+        calls = []
+        integrate_rho = sf.integrate_rho
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return integrate_rho(*args, **kw)
+
+        monkeypatch.setattr(sf, "integrate_rho", counted)
+        code, out, _ = run_cli(capsys, "limit", "--kind", kind, "--mode", "unknown",
+                               "--dof", "4", "--e", "1.5", "--nu", "0.3")
+        assert code == 0
+        rows = parse_csv(out)
+        assert len(calls) == len(rows) + 1 == 605
+        monkeypatch.undo()
+        family = lm.limit_distribution(kind, "unknown", lm.RegimeParams(e=1.5, nu=0.3, dof=4))
+        for row in rows:
+            assert float(row["atom_weight"]) == family.atom_weight
+            assert float(row["atom_location"]) == family.atom_location
+            assert float(row["cdf"]) == family.cdf(float(row["x"]))
 
     def test_missing_field_is_regime_error(self, capsys):
         code, _, err = run_cli(capsys, "limit", "--kind", "hard", "--mode", "known",

@@ -294,6 +294,35 @@ class TestBatchedSolver:
                 assert np.all(theta[r] == 0.0)
                 assert np.array_equal(est.lasso(data, cfg, sig[r]), theta[r])
 
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize("design", [est.DesignSpec("II", 8, 4, c=2.0),
+                                        est.DesignSpec("I", 8, 4, rho=0.9)])
+    def test_kkt_conditions(self, design, adaptive):
+        X, Y, ls, sig = self.problem(1000, design)
+        cfg = est.LassoConfig.eta_xi_inverse(0.7)
+        theta, change = est._lasso_rows(X, Y, ls, sig, cfg, adaptive)
+        assert np.all(change <= cfg.tol)
+        eta_prime = cfg.penalties(X)
+        if adaptive:
+            t = 8 * sig[:, None] ** 2 * eta_prime ** 2 / np.abs(ls)
+        else:
+            t = 8 * sig[:, None] * eta_prime
+        xty = Y @ X
+        grad = xty - theta @ (X.T @ X)
+        bound = 1e-9 * np.abs(xty).max()
+        support = theta != 0.0
+        assert support.any() and not support.all()
+        assert np.all(np.abs(grad - t * np.sign(theta))[support] <= bound)
+        assert np.all((np.abs(grad) - t)[~support] <= bound)
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_sweep_budget_on_ill_conditioned_design(self, adaptive):
+        # plain cyclic descent needs up to 1024 sweeps on this design
+        X, Y, ls, sig = self.problem(1000)
+        cfg = est.LassoConfig.eta_xi_inverse(0.7, max_sweeps=128, tol=1e-12)
+        _, change = est._lasso_rows(X, Y, ls, sig, cfg, adaptive)
+        assert np.all(change <= cfg.tol)
+
     def test_exact_zeros_stay_exact(self):
         X, Y, ls, sig = self.problem(200)
         theta, _ = est._lasso_rows(X, Y, ls, sig, est.LassoConfig.eta_xi_inverse(0.7), False)
