@@ -140,7 +140,7 @@ def _cmd_limit(args) -> int:
         meta["direction"] = family.direction
         _emit([meta], args.format, args.out)
         return EXIT_OK
-    # the fixed-dof families integrate their atom weight on every read
+    # the fixed-dof families average their atom weight afresh on every read
     loc, weight = family.atom_location, family.atom_weight
     rows = []
     grid = np.linspace(GRID_RANGE[0], GRID_RANGE[1], GRID_POINTS)

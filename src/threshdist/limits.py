@@ -11,18 +11,24 @@ of a handful of regimes the tuning and parameter sequences fall into:
 :class:`RegimeParams` carries the limits of the driving sequences; fields
 irrelevant to a requested case may be left unset.  Requests outside the
 catalog raise :class:`RegimeNotCoveredError` -- nothing is extrapolated.
+
+Under conservative tuning the known-sigma limits are closed forms in Phi.
+The fixed-dof limits are the same laws with e replaced by s*e, averaged
+over s ~ rho_m by :func:`special.rho_average`, as for the finite-sample
+laws in :mod:`distributions`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
+import numpy as np
 from scipy import integrate
 
 from . import special as sf
-from .distributions import HARD, SOFT, MixtureDistribution, _check_kind
+from .distributions import ADAPTIVE, HARD, SOFT, MixtureDistribution, _as_points, _check_kind
 
 __all__ = [
     "RegimeNotCoveredError",
@@ -175,209 +181,155 @@ class TwoPointMixture(LimitDistribution):
         return self.loc1
 
 
+def _float_or_array(out):
+    return out if np.ndim(out) else float(out)
+
+
+def _hypot(a, b):
+    """math.hypot elementwise; np.hypot differs from it in the last place at
+    a few points in a thousand, which would move the known-sigma values."""
+    a, b = np.broadcast_arrays(a, b)
+    out = np.fromiter(map(math.hypot, a.ravel().tolist(), b.ravel().tolist()), float, a.size)
+    return out.reshape(a.shape)
+
+
 @dataclass(frozen=True)
-class ExcisedNormal(LimitDistribution):
+class _Conservative(LimitDistribution):
+    """Conservative-tuning limit: an atom at -nu plus a density.
+
+    ``cdf`` and ``ac_density`` take a scalar x, giving a float, or an array,
+    giving an array.  The known-sigma families are closed forms with atom
+    weight Phi(-nu + e) - Phi(-nu - e); they broadcast over an array ``e``,
+    and ``_turn(x)`` is the e at which their law at x changes form.
+    """
+
+    nu: float
+    e: float
+
+    def cdf(self, x):
+        return _float_or_array(np.clip(self._cdf(_as_points(x)), 0.0, 1.0))
+
+    def ac_density(self, x):
+        return _float_or_array(self._density(_as_points(x)))
+
+    @property
+    def atom_weight(self):
+        return _float_or_array(sf.normal_cdf(-self.nu + self.e) - sf.normal_cdf(-self.nu - self.e))
+
+    @property
+    def atom_location(self) -> Optional[float]:
+        return -self.nu if math.isfinite(self.nu) else None
+
+
+class ExcisedNormal(_Conservative):
     """Standard normal with the band (-nu-e, -nu+e) excised into an atom at -nu."""
 
-    nu: float
-    e: float
+    def _turn(self, x):
+        return abs(x + self.nu)
 
-    def cdf(self, x: float) -> float:
-        if abs(x + self.nu) > self.e:
-            return _phi_cdf(x)
-        if x + self.nu >= 0.0:
-            return _phi_cdf(-self.nu + self.e)
-        return _phi_cdf(-self.nu - self.e)
+    def _cdf(self, x):
+        u = x + self.nu
+        return np.where(abs(u) > self.e, sf.normal_cdf(x),
+                        sf.normal_cdf(-self.nu + np.where(u >= 0.0, self.e, -self.e)))
 
-    def ac_density(self, x: float) -> float:
-        return float(sf.normal_pdf(x)) if abs(x + self.nu) > self.e else 0.0
-
-    @property
-    def atom_weight(self) -> float:
-        return _phi_cdf(-self.nu + self.e) - _phi_cdf(-self.nu - self.e)
-
-    @property
-    def atom_location(self) -> float:
-        return -self.nu
+    def _density(self, x):
+        return np.where(abs(x + self.nu) > self.e, sf.normal_pdf(x), 0.0)
 
 
-@dataclass(frozen=True)
-class SoftShiftNormal(LimitDistribution):
+class SoftShiftNormal(_Conservative):
     """Normal shifted by -e right of the atom and by +e left of it."""
 
-    nu: float
-    e: float
+    def _turn(self, x):
+        return abs(x)
 
-    def cdf(self, x: float) -> float:
-        return _phi_cdf(x + self.e) if x + self.nu >= 0.0 else _phi_cdf(x - self.e)
+    def _cdf(self, x):
+        return sf.normal_cdf(x + np.where(x + self.nu >= 0.0, self.e, -self.e))
 
-    def ac_density(self, x: float) -> float:
-        if x + self.nu > 0.0:
-            return float(sf.normal_pdf(x + self.e))
-        if x + self.nu < 0.0:
-            return float(sf.normal_pdf(x - self.e))
-        return 0.0
-
-    @property
-    def atom_weight(self) -> float:
-        return _phi_cdf(-self.nu + self.e) - _phi_cdf(-self.nu - self.e)
-
-    @property
-    def atom_location(self) -> Optional[float]:
-        return -self.nu if math.isfinite(self.nu) else None
+    def _density(self, x):
+        side = np.sign(x + self.nu)  # the density vanishes at the atom
+        return abs(side) * sf.normal_pdf(x + side * self.e)
 
 
-def _adaptive_roots(x: float, nu: float, e: float) -> tuple[float, float]:
-    center = 0.5 * (x - nu)
-    half = math.hypot(0.5 * (x + nu), e)
-    return center - half, center + half
-
-
-@dataclass(frozen=True)
-class AdaptiveKnown(LimitDistribution):
+class AdaptiveKnown(_Conservative):
     """Conservative-tuning limit of the adaptive soft estimator, known sigma."""
 
-    nu: float
-    e: float
-
     def __post_init__(self):
         if not math.isfinite(self.nu):
             raise ValueError("this family is defined for finite nu only")
 
-    def cdf(self, x: float) -> float:
-        z1, z2 = _adaptive_roots(x, self.nu, self.e)
-        return _phi_cdf(z2) if x + self.nu >= 0.0 else _phi_cdf(z1)
+    def _turn(self, x):
+        return 0.5 * abs(x + self.nu)
 
-    def ac_density(self, x: float) -> float:
-        z1, z2 = _adaptive_roots(x, self.nu, self.e)
-        denom = math.hypot(x + self.nu, 2.0 * self.e)
-        t = 0.0 if denom == 0.0 else (x + self.nu) / denom
-        if x + self.nu > 0.0:
-            return 0.5 * float(sf.normal_pdf(z2)) * (1.0 + t)
-        if x + self.nu < 0.0:
-            return 0.5 * float(sf.normal_pdf(z1)) * (1.0 - t)
-        return 0.0
+    def _roots(self, x):
+        """The center of the two roots bounding the branches, and half their distance."""
+        return 0.5 * (x - self.nu), _hypot(0.5 * (x + self.nu), self.e)
 
-    @property
-    def atom_weight(self) -> float:
-        return _phi_cdf(-self.nu + self.e) - _phi_cdf(-self.nu - self.e)
+    def _cdf(self, x):
+        center, half = self._roots(x)
+        return sf.normal_cdf(center + np.where(x + self.nu >= 0.0, half, -half))
 
-    @property
-    def atom_location(self) -> float:
-        return -self.nu
-
-
-def _smoothed_atom_weight(nu: float, e: float, m: int) -> float:
-    if e == 0.0 or math.isinf(nu):
-        return 0.0
-    return sf.integrate_rho(m, lambda s: _phi_cdf(-nu + s * e) - _phi_cdf(-nu - s * e))
+    def _density(self, x):
+        center, half = self._roots(x)
+        side = np.sign(x + self.nu)  # the density vanishes at the atom
+        t = (x + self.nu) / np.where(half == 0.0, 1.0, 2.0 * half)  # x = -nu where half = 0
+        return abs(side) * 0.5 * sf.normal_pdf(center + side * half) * (1.0 + side * t)
 
 
 @dataclass(frozen=True)
-class HardSmoothed(LimitDistribution):
+class _Smoothed(_Conservative):
+    """The known-sigma family ``known`` with e replaced by s*e, averaged over
+    s ~ rho_m, the law of sigmahat/sigma at m residual dof, by one
+    :func:`special.rho_average` call.  Its breakpoint in s is where the
+    known law turns: known._turn(x) / e, and |nu| / e for the atom weight.
+    """
+
+    m: int
+
+    known: ClassVar[type]
+
+    def __post_init__(self):
+        self.known(self.nu, self.e)  # the known family validates nu
+
+    def _average(self, law, x, turn):
+        """E law(known(nu, S*e), x) over S ~ rho_m, where the known law at x
+        turns at S*e = turn."""
+        if self.e == 0.0:  # the known law does not depend on S
+            return law(self.known(self.nu, 0.0), x)
+        val = sf.rho_average(self.m, lambda xs, s: law(self.known(self.nu, s * self.e), xs),
+                             x, turn / self.e)
+        return val.reshape(np.shape(x))
+
+    def _cdf(self, x):
+        return self._average(self.known.cdf, x, self.known(self.nu, self.e)._turn(x))
+
+    def _density(self, x):
+        return self._average(self.known.ac_density, x, self.known(self.nu, self.e)._turn(x))
+
+    @property
+    def atom_weight(self) -> float:
+        weight = self._average(lambda law, _: law.atom_weight, self.nu, abs(self.nu))
+        return float(np.clip(weight, 0.0, 1.0))
+
+
+class HardSmoothed(_Smoothed):
     """Excised normal averaged over the distribution of sigmahat/sigma."""
 
-    nu: float
-    e: float
-    m: int
-
-    def cdf(self, x: float) -> float:
-        if math.isinf(self.nu):
-            return _phi_cdf(x)
-        if self.e == 0.0:
-            return _phi_cdf(x) if x != -self.nu else _phi_cdf(-self.nu)
-        s_star = abs(x + self.nu) / self.e
-        val = _phi_cdf(x) * sf.rho_cdf(self.m, s_star)
-        sign = 1.0 if x + self.nu >= 0.0 else -1.0
-        val += sf.integrate_rho(
-            self.m,
-            lambda s: _phi_cdf(-self.nu + sign * s * self.e) if s >= s_star else 0.0,
-            breakpoints=[s_star])
-        return min(1.0, max(0.0, val))
-
-    def ac_density(self, x: float) -> float:
-        if math.isinf(self.nu) or self.e == 0.0:
-            return float(sf.normal_pdf(x))
-        s_star = abs(x + self.nu) / self.e
-        return float(sf.normal_pdf(x)) * sf.rho_cdf(self.m, s_star)
-
-    @property
-    def atom_weight(self) -> float:
-        return _smoothed_atom_weight(self.nu, self.e, self.m)
-
-    @property
-    def atom_location(self) -> Optional[float]:
-        return -self.nu if math.isfinite(self.nu) else None
+    known = ExcisedNormal
 
 
-@dataclass(frozen=True)
-class SoftSmoothed(LimitDistribution):
+class SoftSmoothed(_Smoothed):
     """Shifted normal averaged over the distribution of sigmahat/sigma."""
 
-    nu: float
-    e: float
-    m: int
-
-    def cdf(self, x: float) -> float:
-        if x + self.nu >= 0.0:
-            return min(1.0, max(0.0, sf.noncentral_t_cdf(self.m, -x, self.e)))
-        return min(1.0, max(0.0, sf.noncentral_t_cdf(self.m, -x, -self.e)))
-
-    def ac_density(self, x: float) -> float:
-        if x + self.nu > 0.0:
-            return sf.integrate_rho(self.m, lambda s: float(sf.normal_pdf(x + s * self.e)))
-        if x + self.nu < 0.0:
-            return sf.integrate_rho(self.m, lambda s: float(sf.normal_pdf(x - s * self.e)))
-        return 0.0
-
-    @property
-    def atom_weight(self) -> float:
-        return _smoothed_atom_weight(self.nu, self.e, self.m)
-
-    @property
-    def atom_location(self) -> Optional[float]:
-        return -self.nu if math.isfinite(self.nu) else None
+    known = SoftShiftNormal
 
 
-@dataclass(frozen=True)
-class AdaptiveSmoothed(LimitDistribution):
+class AdaptiveSmoothed(_Smoothed):
     """Adaptive-soft conservative limit averaged over sigmahat/sigma."""
 
-    nu: float
-    e: float
-    m: int
+    known = AdaptiveKnown
 
-    def __post_init__(self):
-        if not math.isfinite(self.nu):
-            raise ValueError("this family is defined for finite nu only")
 
-    def cdf(self, x: float) -> float:
-        idx = 1 if x + self.nu >= 0.0 else 0
-        val = sf.integrate_rho(
-            self.m, lambda s: _phi_cdf(_adaptive_roots(x, self.nu, s * self.e)[idx]))
-        return min(1.0, max(0.0, val))
-
-    def ac_density(self, x: float) -> float:
-        if x + self.nu == 0.0:
-            return 0.0
-        idx = 1 if x + self.nu > 0.0 else 0
-        sign = 1.0 if idx == 1 else -1.0
-
-        def f(s: float) -> float:
-            z = _adaptive_roots(x, self.nu, s * self.e)[idx]
-            denom = math.hypot(x + self.nu, 2.0 * s * self.e)
-            t = 0.0 if denom == 0.0 else (x + self.nu) / denom
-            return float(sf.normal_pdf(z)) * (1.0 + sign * t)
-
-        return 0.5 * sf.integrate_rho(self.m, f)
-
-    @property
-    def atom_weight(self) -> float:
-        return _smoothed_atom_weight(self.nu, self.e, self.m)
-
-    @property
-    def atom_location(self) -> float:
-        return -self.nu
+_SMOOTHED = {HARD: HardSmoothed, SOFT: SoftSmoothed, ADAPTIVE: AdaptiveSmoothed}
 
 
 @dataclass(frozen=True)
@@ -540,11 +492,8 @@ def limit_selection_probability(params: RegimeParams, mode: str) -> float:
     if e < math.inf:  # conservative tuning
         nu = _need(params.nu, "nu")
         if mode == "known" or _need(params.dof, "dof") == DIVERGING:
-            return _phi_cdf(-nu + e) - _phi_cdf(-nu - e)
-        m = params.fixed_dof()
-        if math.isinf(nu):
-            return 0.0
-        return sf.integrate_rho(m, lambda s: _phi_cdf(-nu + s * e) - _phi_cdf(-nu - s * e))
+            return ExcisedNormal(nu, e).atom_weight
+        return HardSmoothed(nu, e, params.fixed_dof()).atom_weight
 
     zeta = _need(params.zeta, "zeta")
     if mode == "known":
@@ -580,22 +529,11 @@ def limit_distribution(kind: str, mode: str, params: RegimeParams) -> LimitDistr
 
     if e < math.inf:  # conservative tuning, scaling sqrt(n)/xi
         nu = _need(params.nu, "nu")
-        if mode == "unknown" and _need(params.dof, "dof") != DIVERGING:
-            m = params.fixed_dof()
-            if e == 0.0:
-                return StdNormal()
-            if kind == HARD:
-                return StdNormal() if math.isinf(nu) else HardSmoothed(nu, e, m)
-            if kind == SOFT:
-                return SoftSmoothed(nu, e, m)
-            return StdNormal() if math.isinf(nu) else AdaptiveSmoothed(nu, e, m)
-        if e == 0.0:
+        fixed = mode == "unknown" and _need(params.dof, "dof") != DIVERGING
+        if e == 0.0 or (math.isinf(nu) and kind != SOFT):
             return StdNormal()
-        if kind == HARD:
-            return StdNormal() if math.isinf(nu) else ExcisedNormal(nu, e)
-        if kind == SOFT:
-            return SoftShiftNormal(nu, e)
-        return StdNormal() if math.isinf(nu) else AdaptiveKnown(nu, e)
+        family = _SMOOTHED[kind]
+        return family(nu, e, params.fixed_dof()) if fixed else family.known(nu, e)
 
     # consistent tuning, scaling 1/(xi*eta)
     zeta = _need(params.zeta, "zeta")

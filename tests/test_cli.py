@@ -123,16 +123,16 @@ class TestLimitCommand:
 
     @pytest.mark.parametrize("kind", ["hard", "adaptive"])
     def test_atom_weight_integrated_once(self, capsys, monkeypatch, kind):
-        # one smoothing integral per cdf point and one for the atom weight,
-        # not one more per row
+        # one rho average per cdf point and one for the atom weight, not one
+        # more per row
         calls = []
-        integrate_rho = sf.integrate_rho
+        rho_average = sf.rho_average
 
         def counted(*args, **kw):
             calls.append(1)
-            return integrate_rho(*args, **kw)
+            return rho_average(*args, **kw)
 
-        monkeypatch.setattr(sf, "integrate_rho", counted)
+        monkeypatch.setattr(sf, "rho_average", counted)
         code, out, _ = run_cli(capsys, "limit", "--kind", kind, "--mode", "unknown",
                                "--dof", "4", "--e", "1.5", "--nu", "0.3")
         assert code == 0

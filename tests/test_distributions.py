@@ -132,15 +132,6 @@ class TestCdf:
 
     @pytest.mark.parametrize("kind", fd.KINDS)
     @pytest.mark.parametrize("mode", [fd.KNOWN, M4], ids=["known", "m4"])
-    def test_jump_equals_deletion_probability(self, kind, mode):
-        for theta in (0.0, 1.5, 3.0):
-            mix = fd.as_mixture(kind, mode, spec8(theta))
-            a = mix.atom_location
-            jump = mix.cdf(a) - mix.cdf(a - 1e-9)
-            assert abs(jump - mix.atom_weight) <= 1e-8
-
-    @pytest.mark.parametrize("kind", fd.KINDS)
-    @pytest.mark.parametrize("mode", [fd.KNOWN, M4], ids=["known", "m4"])
     def test_jump_where_atom_offset_rounds_below_zero(self, kind, mode):
         # here x / alpha + theta / sigma evaluates below zero at the atom
         s = spec8(0.39, xi=1.1)

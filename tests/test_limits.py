@@ -211,16 +211,67 @@ class TestLimitFamilies:
     def test_smoothed_families_match_finite_sample_exactly(self):
         # the same substitution that freezes the known-variance law onto its
         # limit freezes the estimated-variance law onto the smoothed family
-        nu, e, m = 1.0, 1.95996, 4
-        fams = {fd.HARD: lm.HardSmoothed(nu, e, m), fd.SOFT: lm.SoftSmoothed(nu, e, m),
-                fd.ADAPTIVE: lm.AdaptiveSmoothed(nu, e, m)}
-        mode = fd.VarianceMode.unknown_sigma(m)
-        for n in (64, 4096):
-            spec = fd.ComponentSpec(n, 1.0, nu / math.sqrt(n), 1.0, e / math.sqrt(n))
-            for kind, fam in fams.items():
-                for x in np.linspace(-5.0, 5.0, 21):
-                    assert abs(fd.cdf(kind, mode, spec, float(x))
-                               - fam.cdf(float(x))) <= 1e-8, (kind, n, x)
+        nu, e = 1.0, 1.95996
+        x = np.linspace(-5.0, 5.0, 21)
+        for m in (1, 4, 40):
+            fams = {fd.HARD: lm.HardSmoothed(nu, e, m), fd.SOFT: lm.SoftSmoothed(nu, e, m),
+                    fd.ADAPTIVE: lm.AdaptiveSmoothed(nu, e, m)}
+            mode = fd.VarianceMode.unknown_sigma(m)
+            for n in (64, 4096):
+                spec = fd.ComponentSpec(n, 1.0, nu / math.sqrt(n), 1.0, e / math.sqrt(n))
+                for kind, fam in fams.items():
+                    assert np.abs(fd.cdf(kind, mode, spec, x) - fam.cdf(x)).max() <= 1e-8, \
+                        (kind, m, n)
+                    assert np.abs(fd.ac_density(kind, mode, spec, x)
+                                  - fam.ac_density(x)).max() <= 1e-8, (kind, m, n)
+                    assert abs(fd.deletion_probability(spec, mode)
+                               - fam.atom_weight) <= 1e-8, (kind, m, n)
+
+    def test_adaptive_smoothed_next_to_atom_at_one_dof(self):
+        # at one dof the known law at x turns at s = |x + nu| / (2e), here a
+        # few 1e-10; the reference integrates it against the chi_1 density on
+        # panels graded geometrically toward that point
+        def reference(nu, e, x, density):
+            u = x + nu
+            side = 1.0 if u >= 0.0 else -1.0
+
+            def law(s):
+                half = math.hypot(0.5 * u, s * e)
+                z = 0.5 * (x - nu) + side * half
+                if density:
+                    pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+                    return 0.5 * pdf * (1.0 + side * u / (2.0 * half))
+                return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+            def weighted(s):
+                return law(s) * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * s * s)
+
+            turn = abs(u) / (2.0 * e)
+            edges = [0.0, *(turn * 2.0 ** k for k in range(-20, 60) if turn * 2.0 ** k < 12.0),
+                     12.0]
+            return sum(integrate.quad(weighted, a, b, epsabs=1e-14, epsrel=1e-12)[0]
+                       for a, b in zip(edges, edges[1:]))
+
+        for nu, e in ((0.0, 1.5), (-0.4, 1.5), (0.7, 0.3), (0.7, 1.5)):
+            fam = lm.AdaptiveSmoothed(nu, e, 1)
+            for x in (-nu - 1e-9, -nu + 1e-9):
+                assert abs(fam.ac_density(x) - reference(nu, e, x, True)) <= 1e-10, (nu, e, x)
+                assert abs(fam.cdf(x) - reference(nu, e, x, False)) <= 1e-10, (nu, e, x)
+
+    def test_conservative_families_scalar_matches_array(self):
+        # a float or numpy scalar gives the float at the matching array element
+        x = np.concatenate([np.linspace(-4.0, 4.0, 9), [-0.7 - 1e-9, -0.7, -0.7 + 1e-9]])
+        families = [lm.ExcisedNormal(0.7, 1.5), lm.SoftShiftNormal(0.7, 1.5),
+                    lm.AdaptiveKnown(0.7, 1.5), lm.HardSmoothed(0.7, 1.5, 40),
+                    lm.SoftSmoothed(0.7, 1.5, 4), lm.AdaptiveSmoothed(0.7, 1.5, 1)]
+        for fam in families:
+            for method in (fam.cdf, fam.ac_density):
+                values = method(x)
+                assert np.array_equal(method(x.reshape(3, 4)), values.reshape(3, 4))
+                for point, value in zip(x, values):
+                    for scalar in (float(point), np.float64(point)):
+                        out = method(scalar)
+                        assert type(out) is float and out == value, (fam, point)
 
     def test_oracle_hard_boundary_masses(self):
         phi_r = float(sf.normal_cdf(0.2))
