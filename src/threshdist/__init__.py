@@ -3,7 +3,8 @@
 Modules
 -------
 special        normal / chi / non-central t routines and rho-weighted quadrature
-distributions  exact finite-sample mixed laws of the six estimator variants
+distributions  exact finite-sample mixed laws of the six estimator variants,
+               as the conservative limit families at (shift, sqrt(n)*eta)
 limits         moving-parameter limit catalog, selection-probability limits,
                uniform rates, total-variation diagnostics
 estimators     least squares, thresholding rules, lasso and adaptive lasso by

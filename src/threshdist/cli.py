@@ -94,18 +94,17 @@ def _spec_from_args(args) -> fd.ComponentSpec:
                             sigma=args.sigma, eta=eta, alpha=alpha)
 
 
-def _dist_grid(mix: fd.MixtureDistribution) -> np.ndarray:
+def _grid(law: fd.MixtureDistribution) -> np.ndarray:
+    """The output grid, with the atom and both its one-sided neighbors."""
     grid = np.linspace(GRID_RANGE[0], GRID_RANGE[1], GRID_POINTS)
-    a = mix.atom_location
-    off = 1e-9 * max(1.0, abs(a))
-    return np.unique(np.concatenate([grid, [a - off, a, a + off]]))
+    return fd.with_atom_neighborhood(grid, law.atom_location)
 
 
 def _cmd_dist(args) -> int:
     spec = _spec_from_args(args)
     mode = _mode_from_args(args)
     mix = fd.as_mixture(args.kind, mode, spec)
-    grid = _dist_grid(mix)
+    grid = _grid(mix)
     rows = [{"x": float(x), "cdf": float(c), "ac_density": float(d),
              "atom_location": mix.atom_location, "atom_weight": mix.atom_weight}
             for x, c, d in zip(grid, mix.cdf(grid), mix.ac_density(grid))]
@@ -142,15 +141,10 @@ def _cmd_limit(args) -> int:
         return EXIT_OK
     # the fixed-dof families average their atom weight afresh on every read
     loc, weight = family.atom_location, family.atom_weight
-    rows = []
-    grid = np.linspace(GRID_RANGE[0], GRID_RANGE[1], GRID_POINTS)
-    if loc is not None and math.isfinite(loc):
-        off = 1e-9 * max(1.0, abs(loc))
-        grid = np.unique(np.concatenate([grid, [loc - off, loc, loc + off]]))
-    for x in grid:
-        rows.append({"family": meta["family"], "x": float(x), "cdf": family.cdf(float(x)),
-                     "atom_location": loc if loc is not None else math.nan,
-                     "atom_weight": weight})
+    grid = _grid(family)
+    rows = [{"family": meta["family"], "x": float(x), "cdf": float(c),
+             "atom_location": loc if loc is not None else math.nan, "atom_weight": weight}
+            for x, c in zip(grid, family.cdf(grid))]
     _emit(rows, args.format, args.out)
     return EXIT_OK
 

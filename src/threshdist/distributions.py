@@ -3,13 +3,21 @@
 Each estimator (hard, soft, adaptive soft; known or unknown error variance)
 has, after centering at the true coefficient and scaling by ``alpha/sigma``,
 a mixed distribution: an atom at ``-alpha*theta/sigma`` whose weight is the
-variable deletion probability, plus an absolutely continuous part.  The
-functions here evaluate those cdfs and densities exactly, at a scalar or at
-a whole array of points.  The known-variance laws are closed forms in Phi.
-Each unknown-variance law is the known-variance law with the threshold
-scaled by s = sigmahat/sigma, averaged over s ~ rho_m with
-:func:`special.rho_average`; every probability is clamped to [0, 1] after
-quadrature.
+variable deletion probability, plus an absolutely continuous part.
+:class:`MixtureDistribution` is the protocol of every such law in the
+package, finite-sample or limiting.
+
+A known-variance law depends on (n, xi, theta, sigma, eta, alpha) only
+through the shift nu = sqrt(n)*theta/(sigma*xi), the threshold
+b = sqrt(n)*eta and the point x' = sqrt(n)*x/(alpha*xi): it is the
+conservative limit family of its kind (:class:`ExcisedNormal`,
+:class:`SoftShiftNormal`, :class:`AdaptiveKnown`, closed forms in Phi) at
+(nu, e) = (shift, b), evaluated at x'.  Each unknown-variance law is the
+same family with e scaled by s = sigmahat/sigma, averaged over s ~ rho_m
+with :func:`special.rho_average` (:class:`HardSmoothed`,
+:class:`SoftSmoothed`, :class:`AdaptiveSmoothed`).  :func:`cdf`,
+:func:`ac_density` and :func:`deletion_probability` evaluate those families;
+:mod:`limits` catalogs them as limit laws.
 
 Branch boundaries pair weak and strict inequalities so that every cdf is
 right-continuous; at the atom the value belongs to the upper branch.
@@ -20,7 +28,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -34,6 +43,12 @@ __all__ = [
     "ComponentSpec",
     "VarianceMode",
     "MixtureDistribution",
+    "ExcisedNormal",
+    "SoftShiftNormal",
+    "AdaptiveKnown",
+    "HardSmoothed",
+    "SoftSmoothed",
+    "AdaptiveSmoothed",
     "root_n_over_xi",
     "inverse_xi_eta",
     "deletion_probability",
@@ -42,6 +57,7 @@ __all__ = [
     "z_bounds",
     "t_factor",
     "as_mixture",
+    "with_atom_neighborhood",
 ]
 
 HARD = "hard"
@@ -135,137 +151,23 @@ class ComponentSpec:
     @property
     def shift(self) -> float:
         """sqrt(n) * theta / (sigma * xi)."""
-        return self.root_n * self.theta / (self.sigma * self.xi)
+        return self.root_n / self.xi * (self.theta / self.sigma)
 
     @property
     def atom_location(self) -> float:
         return -self.alpha * self.theta / self.sigma + 0.0  # avoid -0.0
 
     def standardized(self, x: float) -> float:
-        """sqrt(n) * x / (alpha * xi)."""
-        return self.root_n * x / (self.alpha * self.xi)
+        """sqrt(n) * x / (alpha * xi).
+
+        It and ``shift`` scale x / alpha and theta / sigma by the same
+        factor, so standardized(x) + shift is >= 0 wherever offset(x) is.
+        """
+        return self.root_n / self.xi * (x / self.alpha)
 
     def offset(self, x: float) -> float:
         """x / alpha + theta / sigma (sign decides which branch applies)."""
         return x / self.alpha + self.theta / self.sigma
-
-
-@dataclass(frozen=True)
-class MixtureDistribution:
-    """Atom plus absolutely continuous part, with evaluators.
-
-    ``cdf`` and ``ac_density`` take a scalar, giving a float, or an array,
-    giving an array of its shape.
-    """
-
-    atom_location: float
-    atom_weight: float
-    cdf: Callable
-    ac_density: Callable
-
-
-def _clamp(p: float) -> float:
-    return min(1.0, max(0.0, p))
-
-
-def _deleted(shift, b):
-    """Known-variance deletion probability at standardized shift and threshold b."""
-    return sf.normal_cdf(-shift + b) - sf.normal_cdf(-shift - b)
-
-
-def deletion_probability(spec: ComponentSpec, mode: VarianceMode = KNOWN) -> float:
-    """Probability that the estimator sets this coordinate exactly to zero.
-
-    Identical for the hard, soft and adaptive soft estimators.
-    """
-    b = spec.root_n * spec.eta
-    if mode.known:
-        return _clamp(float(_deleted(spec.shift, b)))
-    # the one point is the shift; the deletion window turns at s = |shift| / b
-    val = sf.rho_average(mode.dof, lambda shift, s: _deleted(shift, s * b), [spec.shift],
-                         [abs(spec.shift) / b])
-    return _clamp(float(val[0]))
-
-
-def _adaptive_roots(spec: ComponentSpec, x, y):
-    """a = offset / (2 xi), the center of the adaptive-soft roots and hypot(a, y);
-    the roots are center -+ sqrt(n) * hypot(a, y)."""
-    a = 0.5 * spec.offset(x) / spec.xi
-    center = 0.5 * spec.root_n * (x / spec.alpha - spec.theta / spec.sigma) / spec.xi
-    return a, center, np.hypot(a, y)
-
-
-def z_bounds(spec: ComponentSpec, x: float, y: float) -> tuple[float, float]:
-    """The two roots bounding the adaptive-soft cdf branches, z1 <= z2."""
-    if y < 0:
-        raise ValueError(f"y must be nonnegative, got {y!r}")
-    _, center, r = _adaptive_roots(spec, x, y)
-    half = spec.root_n * r
-    return center - half, center + half
-
-
-def t_factor(spec: ComponentSpec, x: float, y: float) -> float:
-    """Derivative factor of the adaptive-soft density; in [-1, 1]."""
-    a, _, r = _adaptive_roots(spec, x, y)
-    return float(a / r) if r else 0.0
-
-
-# The laws below are the known-variance laws with the threshold scaled by
-# s = sigmahat / sigma, for x and s that broadcast; s = 1 is known variance,
-# and the average over s ~ rho_m is the law with m residual dof.
-
-def _cdf_given(kind: str, spec: ComponentSpec, x, s):
-    u = spec.offset(x)
-    # the atom belongs to the upper branch (right-continuity) even when its
-    # offset rounds below zero
-    side = 2.0 * ((u >= 0.0) | (x == spec.atom_location)) - 1.0
-    b = spec.root_n * (s * spec.eta)
-    if kind == HARD:
-        kept = abs(u) > spec.xi * (s * spec.eta)
-        return np.where(kept, sf.normal_cdf(spec.standardized(x)),
-                        sf.normal_cdf(-spec.shift + side * b))
-    if kind == SOFT:
-        return sf.normal_cdf(spec.standardized(x) + side * b)
-    _, center, r = _adaptive_roots(spec, x, s * spec.eta)
-    return sf.normal_cdf(center + side * (spec.root_n * r))
-
-
-def _density_given(kind: str, spec: ComponentSpec, x, s):
-    u = spec.offset(x)
-    side = np.sign(u)  # the density vanishes where u = 0
-    scale = spec.root_n / (spec.alpha * spec.xi)
-    if kind == HARD:
-        return np.where(abs(u) > spec.xi * (s * spec.eta),
-                        scale * sf.normal_pdf(spec.standardized(x)), 0.0)
-    if kind == SOFT:
-        b = spec.root_n * (s * spec.eta)
-        return abs(side) * scale * sf.normal_pdf(spec.standardized(x) + side * b)
-    a, center, r = _adaptive_roots(spec, x, s * spec.eta)
-    t = a / np.where(r == 0.0, 1.0, r)  # a = 0 where r = 0
-    return (abs(side) * 0.5 * scale * sf.normal_pdf(center + side * (spec.root_n * r))
-            * (1.0 + side * t))
-
-
-def _breakpoints(kind: str, spec: ComponentSpec, x):
-    """Where the law at x, as a function of s, jumps or bends."""
-    if kind == HARD:
-        # the estimate is kept for s below |u| / (xi eta)
-        return abs(spec.offset(x)) / (spec.xi * spec.eta)
-    if kind == SOFT:
-        # Phi(v -+ s b) turns, and its density peaks, at |v| / b
-        return abs(spec.standardized(x)) / (spec.root_n * spec.eta)
-    # hypot(a, s eta) bends at |a| / eta, which is tiny next to the atom
-    return abs(0.5 * spec.offset(x) / spec.xi) / spec.eta
-
-
-def _law(given, kind: str, mode: VarianceMode, spec: ComponentSpec, x):
-    """The law ``given`` at finite x: its known-variance closed form, or its
-    average over the law of sigmahat / sigma."""
-    if mode.known:
-        return given(kind, spec, x, 1.0)
-    val = sf.rho_average(mode.dof, lambda xs, s: given(kind, spec, xs, s), x,
-                         _breakpoints(kind, spec, x))
-    return val.reshape(np.shape(x))
 
 
 def _as_points(x):
@@ -277,25 +179,242 @@ def _as_points(x):
     return float(x)
 
 
+def _float_or_array(out):
+    return out if np.ndim(out) else float(out)
+
+
+class MixtureDistribution:
+    """An atom plus an absolutely continuous part.
+
+    Subclasses give ``_cdf`` and, where the law has a density, ``_density``
+    (zero otherwise), both array-valued at finite points.  ``cdf`` and
+    ``ac_density`` take a scalar, giving a float, or an array, giving an
+    array of its shape.  Both reject NaN and ``ac_density`` rejects +-inf;
+    ``cdf`` takes +-inf to ``_tails`` and clips to [0, 1].
+    """
+
+    #: cdf values at -inf and +inf; a law whose mass escapes overrides them
+    _tails = (0.0, 1.0)
+
+    @property
+    def atom_weight(self):
+        """Weight of the atom, 0.0 when there is none."""
+        return 0.0
+
+    @property
+    def atom_location(self) -> Optional[float]:
+        return None
+
+    def cdf(self, x):
+        x = _as_points(x)
+        if isinstance(x, float):
+            if math.isnan(x):
+                raise ValueError("cdf argument must not be NaN")
+            if math.isinf(x):
+                return self._tails[x > 0.0]
+            return min(1.0, max(0.0, float(self._cdf(x))))
+        if np.isnan(x).any():
+            raise ValueError("cdf argument must not be NaN")
+        lo, hi = self._tails
+        out = np.where(x > 0.0, hi, lo)
+        finite = np.isfinite(x)
+        out[finite] = np.clip(self._cdf(x[finite]), 0.0, 1.0)
+        return out
+
+    def ac_density(self, x):
+        x = _as_points(x)
+        if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
+            raise ValueError(f"density argument must be finite, got {x!r}")
+        return _float_or_array(self._density(x))
+
+    def _density(self, x):
+        return np.zeros(np.shape(x))
+
+
+def _side(u):
+    """+1 on the branch u >= 0, which holds the atom, and -1 below it."""
+    return 2.0 * (u >= 0.0) - 1.0
+
+
+@dataclass(frozen=True)
+class _Conservative(MixtureDistribution):
+    """Conservative-tuning law in the standardized point x': an atom at -nu
+    plus a density.
+
+    The known-sigma families are closed forms with atom weight
+    Phi(-nu + e) - Phi(-nu - e); they broadcast over an array ``e``, and
+    ``_turn(x)`` is the e at which their law at x changes form.
+    """
+
+    nu: float
+    e: float
+
+    @property
+    def atom_weight(self):
+        return _float_or_array(sf.normal_cdf(-self.nu + self.e) - sf.normal_cdf(-self.nu - self.e))
+
+    @property
+    def atom_location(self) -> Optional[float]:
+        return -self.nu if math.isfinite(self.nu) else None
+
+
+class ExcisedNormal(_Conservative):
+    """Standard normal with the band (-nu-e, -nu+e) excised into an atom at -nu."""
+
+    def _turn(self, x):
+        return abs(x + self.nu)
+
+    def _cdf(self, x):
+        u = x + self.nu
+        return np.where(abs(u) > self.e, sf.normal_cdf(x),
+                        sf.normal_cdf(-self.nu + _side(u) * self.e))
+
+    def _density(self, x):
+        return np.where(abs(x + self.nu) > self.e, sf.normal_pdf(x), 0.0)
+
+
+class SoftShiftNormal(_Conservative):
+    """Normal shifted by -e right of the atom and by +e left of it."""
+
+    def _turn(self, x):
+        return abs(x)
+
+    def _cdf(self, x):
+        return sf.normal_cdf(x + _side(x + self.nu) * self.e)
+
+    def _density(self, x):
+        side = np.sign(x + self.nu)  # the density vanishes at the atom
+        return abs(side) * sf.normal_pdf(x + side * self.e)
+
+
+class AdaptiveKnown(_Conservative):
+    """Conservative-tuning law of the adaptive soft estimator, known sigma."""
+
+    def __post_init__(self):
+        if not math.isfinite(self.nu):
+            raise ValueError("this family is defined for finite nu only")
+
+    def _turn(self, x):
+        return 0.5 * abs(x + self.nu)
+
+    def _roots(self, x):
+        """The center of the two roots bounding the branches, and half their distance."""
+        return 0.5 * (x - self.nu), np.hypot(0.5 * (x + self.nu), self.e)
+
+    def _cdf(self, x):
+        center, half = self._roots(x)
+        return sf.normal_cdf(center + _side(x + self.nu) * half)
+
+    def _density(self, x):
+        center, half = self._roots(x)
+        side = np.sign(x + self.nu)  # the density vanishes at the atom
+        t = (x + self.nu) / np.where(half == 0.0, 1.0, 2.0 * half)  # x = -nu where half = 0
+        return abs(side) * 0.5 * sf.normal_pdf(center + side * half) * (1.0 + side * t)
+
+
+@dataclass(frozen=True)
+class _Smoothed(_Conservative):
+    """The known-sigma family ``known`` with e replaced by s*e, averaged over
+    s ~ rho_m, the law of sigmahat/sigma at m residual dof, by one
+    :func:`special.rho_average` call.  Its breakpoint in s is where the
+    known law turns: known._turn(x) / e, and |nu| / e for the atom weight.
+    """
+
+    m: int
+
+    known: ClassVar[type]
+
+    def __post_init__(self):
+        self.known(self.nu, self.e)  # the known family validates nu
+
+    def _average(self, law, x, turn):
+        """E law(known(nu, S*e), x) over S ~ rho_m, where the known law at x
+        turns at S*e = turn."""
+        if self.e == 0.0:  # the known law does not depend on S
+            return law(self.known(self.nu, 0.0), x)
+        val = sf.rho_average(self.m, lambda xs, s: law(self.known(self.nu, s * self.e), xs),
+                             x, turn / self.e)
+        return val.reshape(np.shape(x))
+
+    def _cdf(self, x):
+        return self._average(self.known._cdf, x, self.known(self.nu, self.e)._turn(x))
+
+    def _density(self, x):
+        return self._average(self.known._density, x, self.known(self.nu, self.e)._turn(x))
+
+    @property
+    def atom_weight(self) -> float:
+        weight = self._average(lambda law, _: law.atom_weight, self.nu, abs(self.nu))
+        return float(np.clip(weight, 0.0, 1.0))
+
+
+class HardSmoothed(_Smoothed):
+    """Excised normal averaged over the distribution of sigmahat/sigma."""
+
+    known = ExcisedNormal
+
+
+class SoftSmoothed(_Smoothed):
+    """Shifted normal averaged over the distribution of sigmahat/sigma."""
+
+    known = SoftShiftNormal
+
+
+class AdaptiveSmoothed(_Smoothed):
+    """Adaptive-soft conservative law averaged over sigmahat/sigma."""
+
+    known = AdaptiveKnown
+
+
+_SMOOTHED = {HARD: HardSmoothed, SOFT: SoftSmoothed, ADAPTIVE: AdaptiveSmoothed}
+
+
+def _family(kind: str, mode: VarianceMode, spec: ComponentSpec) -> _Conservative:
+    """The law of sqrt(n) * (estimate - theta) / (sigma * xi): the family of
+    ``kind`` at nu = shift and e = sqrt(n) * eta."""
+    family = _SMOOTHED[_check_kind(kind)]
+    b = spec.root_n * spec.eta
+    return family.known(spec.shift, b) if mode.known else family(spec.shift, b, mode.dof)
+
+
+def _standardized(spec: ComponentSpec, x):
+    """x' = sqrt(n) * x / (alpha * xi), with the atom taken to exactly -shift,
+    so that it stays on the upper branch where its offset rounds off zero."""
+    x = _as_points(x)
+    if isinstance(x, float):
+        return -spec.shift if x == spec.atom_location else spec.standardized(x)
+    return np.where(x == spec.atom_location, -spec.shift, spec.standardized(x))
+
+
+def deletion_probability(spec: ComponentSpec, mode: VarianceMode = KNOWN) -> float:
+    """Probability that the estimator sets this coordinate exactly to zero.
+
+    Identical for the hard, soft and adaptive soft estimators.
+    """
+    return _family(HARD, mode, spec).atom_weight
+
+
+def z_bounds(spec: ComponentSpec, x: float, y: float) -> tuple[float, float]:
+    """The two roots bounding the adaptive-soft cdf branches, z1 <= z2."""
+    if y < 0:
+        raise ValueError(f"y must be nonnegative, got {y!r}")
+    center, half = AdaptiveKnown(spec.shift, spec.root_n * y)._roots(spec.standardized(x))
+    return center - half, center + half
+
+
+def t_factor(spec: ComponentSpec, x: float, y: float) -> float:
+    """Derivative factor of the adaptive-soft density; in [-1, 1]."""
+    x = spec.standardized(x)
+    _, half = AdaptiveKnown(spec.shift, spec.root_n * y)._roots(x)
+    return float(0.5 * (x + spec.shift) / half) if half else 0.0
+
+
 def cdf(kind: str, mode: VarianceMode, spec: ComponentSpec, x):
     """Cdf of sigma^{-1} * alpha * (estimate - theta) at x (x may be +-inf).
 
     A scalar x gives a float, an array gives an array of its shape.
     """
-    _check_kind(kind)
-    x = _as_points(x)
-    if isinstance(x, float):
-        if math.isnan(x):
-            raise ValueError("cdf argument must not be NaN")
-        if math.isinf(x):
-            return 1.0 if x > 0 else 0.0
-        return _clamp(float(_law(_cdf_given, kind, mode, spec, x)))
-    if np.isnan(x).any():
-        raise ValueError("cdf argument must not be NaN")
-    out = np.where(x > 0.0, 1.0, 0.0)
-    finite = np.isfinite(x)
-    out[finite] = np.clip(_law(_cdf_given, kind, mode, spec, x[finite]), 0.0, 1.0)
-    return out
+    return _family(kind, mode, spec).cdf(_standardized(spec, x))
 
 
 def ac_density(kind: str, mode: VarianceMode, spec: ComponentSpec, x):
@@ -303,20 +422,45 @@ def ac_density(kind: str, mode: VarianceMode, spec: ComponentSpec, x):
 
     A scalar x gives a float, an array gives an array of its shape.
     """
-    _check_kind(kind)
-    x = _as_points(x)
-    if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
-        raise ValueError(f"density argument must be finite, got {x!r}")
-    out = _law(_density_given, kind, mode, spec, x)
-    return float(out) if isinstance(x, float) else out
+    density = _family(kind, mode, spec).ac_density(_standardized(spec, x))
+    return density * (spec.root_n / (spec.alpha * spec.xi))
+
+
+@dataclass(frozen=True)
+class _FiniteSampleLaw(MixtureDistribution):
+    """One variant's law, evaluated by the module-level :func:`cdf` and
+    :func:`ac_density`."""
+
+    kind: str
+    mode: VarianceMode
+    spec: ComponentSpec
+
+    def cdf(self, x):
+        return cdf(self.kind, self.mode, self.spec, x)
+
+    def ac_density(self, x):
+        return ac_density(self.kind, self.mode, self.spec, x)
+
+    @property
+    def atom_location(self) -> float:
+        return self.spec.atom_location
+
+    @cached_property
+    def atom_weight(self) -> float:
+        return deletion_probability(self.spec, self.mode)
 
 
 def as_mixture(kind: str, mode: VarianceMode, spec: ComponentSpec) -> MixtureDistribution:
     """Package the law of one variant as an atom-plus-density object."""
-    _check_kind(kind)
-    return MixtureDistribution(
-        atom_location=spec.atom_location,
-        atom_weight=deletion_probability(spec, mode),
-        cdf=lambda x: cdf(kind, mode, spec, x),
-        ac_density=lambda x: ac_density(kind, mode, spec, x),
-    )
+    return _FiniteSampleLaw(_check_kind(kind), mode, spec)
+
+
+def with_atom_neighborhood(grid, atom_location: Optional[float]) -> np.ndarray:
+    """The sorted points of ``grid`` plus the atom a and its one-sided
+    neighbors a -+ 1e-9 * max(1, |a|), offsets large enough that dividing
+    by a scaling cannot underflow; ``grid`` itself when there is no atom."""
+    if atom_location is None:
+        return grid
+    off = 1e-9 * max(1.0, abs(atom_location))
+    return np.unique(np.concatenate([grid, [atom_location - off, atom_location,
+                                            atom_location + off]]))

@@ -12,23 +12,30 @@ of a handful of regimes the tuning and parameter sequences fall into:
 irrelevant to a requested case may be left unset.  Requests outside the
 catalog raise :class:`RegimeNotCoveredError` -- nothing is extrapolated.
 
-Under conservative tuning the known-sigma limits are closed forms in Phi.
-The fixed-dof limits are the same laws with e replaced by s*e, averaged
-over s ~ rho_m by :func:`special.rho_average`, as for the finite-sample
-laws in :mod:`distributions`.
+Under conservative tuning the known-sigma limits are closed forms in Phi,
+and the fixed-dof limits are the same laws with e replaced by s*e, averaged
+over s ~ rho_m by :func:`special.rho_average`.  These families live in
+:mod:`distributions`: the finite-sample laws are the same families at
+(nu, e) = (shift, sqrt(n)*eta).  Every family in the catalog is a
+:class:`LimitDistribution`, the atom-plus-density protocol of
+:mod:`distributions` (``MixtureDistribution``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import integrate
+from scipy.special import gammaln, xlogy
 
 from . import special as sf
-from .distributions import ADAPTIVE, HARD, SOFT, MixtureDistribution, _as_points, _check_kind
+from .distributions import (_SMOOTHED, ADAPTIVE, HARD, SOFT, AdaptiveKnown,
+                            AdaptiveSmoothed, ExcisedNormal, HardSmoothed,
+                            SoftShiftNormal, SoftSmoothed, _check_kind)
+from .distributions import MixtureDistribution as LimitDistribution
 
 __all__ = [
     "RegimeNotCoveredError",
@@ -120,34 +127,21 @@ class RegimeParams:
         return int(m)
 
 
-class LimitDistribution:
-    """Base class of the limit-law catalog; subclasses expose ``cdf``."""
-
-    def cdf(self, x: float) -> float:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    #: weight of the atom, 0.0 when there is none
-    @property
-    def atom_weight(self) -> float:
-        return 0.0
-
-    @property
-    def atom_location(self) -> Optional[float]:
-        return None
-
-
 @dataclass(frozen=True)
 class StdNormal(LimitDistribution):
-    def cdf(self, x: float) -> float:
-        return _phi_cdf(x)
+    def _cdf(self, x):
+        return sf.normal_cdf(x)
+
+    def _density(self, x):
+        return sf.normal_pdf(x)
 
 
 @dataclass(frozen=True)
 class PointMass(LimitDistribution):
     loc: float
 
-    def cdf(self, x: float) -> float:
-        return 1.0 if x >= self.loc else 0.0
+    def _cdf(self, x):
+        return np.where(x >= self.loc, 1.0, 0.0)
 
     @property
     def atom_weight(self) -> float:
@@ -168,9 +162,9 @@ class TwoPointMixture(LimitDistribution):
         if not 0.0 <= self.weight_at_loc1 <= 1.0:
             raise ValueError(f"mixture weight must lie in [0, 1], got {self.weight_at_loc1!r}")
 
-    def cdf(self, x: float) -> float:
+    def _cdf(self, x):
         w = self.weight_at_loc1
-        return w * (1.0 if x >= self.loc1 else 0.0) + (1.0 - w) * (1.0 if x >= self.loc2 else 0.0)
+        return w * (x >= self.loc1) + (1.0 - w) * (x >= self.loc2)
 
     @property
     def atom_weight(self) -> float:
@@ -181,157 +175,6 @@ class TwoPointMixture(LimitDistribution):
         return self.loc1
 
 
-def _float_or_array(out):
-    return out if np.ndim(out) else float(out)
-
-
-def _hypot(a, b):
-    """math.hypot elementwise; np.hypot differs from it in the last place at
-    a few points in a thousand, which would move the known-sigma values."""
-    a, b = np.broadcast_arrays(a, b)
-    out = np.fromiter(map(math.hypot, a.ravel().tolist(), b.ravel().tolist()), float, a.size)
-    return out.reshape(a.shape)
-
-
-@dataclass(frozen=True)
-class _Conservative(LimitDistribution):
-    """Conservative-tuning limit: an atom at -nu plus a density.
-
-    ``cdf`` and ``ac_density`` take a scalar x, giving a float, or an array,
-    giving an array.  The known-sigma families are closed forms with atom
-    weight Phi(-nu + e) - Phi(-nu - e); they broadcast over an array ``e``,
-    and ``_turn(x)`` is the e at which their law at x changes form.
-    """
-
-    nu: float
-    e: float
-
-    def cdf(self, x):
-        return _float_or_array(np.clip(self._cdf(_as_points(x)), 0.0, 1.0))
-
-    def ac_density(self, x):
-        return _float_or_array(self._density(_as_points(x)))
-
-    @property
-    def atom_weight(self):
-        return _float_or_array(sf.normal_cdf(-self.nu + self.e) - sf.normal_cdf(-self.nu - self.e))
-
-    @property
-    def atom_location(self) -> Optional[float]:
-        return -self.nu if math.isfinite(self.nu) else None
-
-
-class ExcisedNormal(_Conservative):
-    """Standard normal with the band (-nu-e, -nu+e) excised into an atom at -nu."""
-
-    def _turn(self, x):
-        return abs(x + self.nu)
-
-    def _cdf(self, x):
-        u = x + self.nu
-        return np.where(abs(u) > self.e, sf.normal_cdf(x),
-                        sf.normal_cdf(-self.nu + np.where(u >= 0.0, self.e, -self.e)))
-
-    def _density(self, x):
-        return np.where(abs(x + self.nu) > self.e, sf.normal_pdf(x), 0.0)
-
-
-class SoftShiftNormal(_Conservative):
-    """Normal shifted by -e right of the atom and by +e left of it."""
-
-    def _turn(self, x):
-        return abs(x)
-
-    def _cdf(self, x):
-        return sf.normal_cdf(x + np.where(x + self.nu >= 0.0, self.e, -self.e))
-
-    def _density(self, x):
-        side = np.sign(x + self.nu)  # the density vanishes at the atom
-        return abs(side) * sf.normal_pdf(x + side * self.e)
-
-
-class AdaptiveKnown(_Conservative):
-    """Conservative-tuning limit of the adaptive soft estimator, known sigma."""
-
-    def __post_init__(self):
-        if not math.isfinite(self.nu):
-            raise ValueError("this family is defined for finite nu only")
-
-    def _turn(self, x):
-        return 0.5 * abs(x + self.nu)
-
-    def _roots(self, x):
-        """The center of the two roots bounding the branches, and half their distance."""
-        return 0.5 * (x - self.nu), _hypot(0.5 * (x + self.nu), self.e)
-
-    def _cdf(self, x):
-        center, half = self._roots(x)
-        return sf.normal_cdf(center + np.where(x + self.nu >= 0.0, half, -half))
-
-    def _density(self, x):
-        center, half = self._roots(x)
-        side = np.sign(x + self.nu)  # the density vanishes at the atom
-        t = (x + self.nu) / np.where(half == 0.0, 1.0, 2.0 * half)  # x = -nu where half = 0
-        return abs(side) * 0.5 * sf.normal_pdf(center + side * half) * (1.0 + side * t)
-
-
-@dataclass(frozen=True)
-class _Smoothed(_Conservative):
-    """The known-sigma family ``known`` with e replaced by s*e, averaged over
-    s ~ rho_m, the law of sigmahat/sigma at m residual dof, by one
-    :func:`special.rho_average` call.  Its breakpoint in s is where the
-    known law turns: known._turn(x) / e, and |nu| / e for the atom weight.
-    """
-
-    m: int
-
-    known: ClassVar[type]
-
-    def __post_init__(self):
-        self.known(self.nu, self.e)  # the known family validates nu
-
-    def _average(self, law, x, turn):
-        """E law(known(nu, S*e), x) over S ~ rho_m, where the known law at x
-        turns at S*e = turn."""
-        if self.e == 0.0:  # the known law does not depend on S
-            return law(self.known(self.nu, 0.0), x)
-        val = sf.rho_average(self.m, lambda xs, s: law(self.known(self.nu, s * self.e), xs),
-                             x, turn / self.e)
-        return val.reshape(np.shape(x))
-
-    def _cdf(self, x):
-        return self._average(self.known.cdf, x, self.known(self.nu, self.e)._turn(x))
-
-    def _density(self, x):
-        return self._average(self.known.ac_density, x, self.known(self.nu, self.e)._turn(x))
-
-    @property
-    def atom_weight(self) -> float:
-        weight = self._average(lambda law, _: law.atom_weight, self.nu, abs(self.nu))
-        return float(np.clip(weight, 0.0, 1.0))
-
-
-class HardSmoothed(_Smoothed):
-    """Excised normal averaged over the distribution of sigmahat/sigma."""
-
-    known = ExcisedNormal
-
-
-class SoftSmoothed(_Smoothed):
-    """Shifted normal averaged over the distribution of sigmahat/sigma."""
-
-    known = SoftShiftNormal
-
-
-class AdaptiveSmoothed(_Smoothed):
-    """Adaptive-soft conservative limit averaged over sigmahat/sigma."""
-
-    known = AdaptiveKnown
-
-
-_SMOOTHED = {HARD: HardSmoothed, SOFT: SoftSmoothed, ADAPTIVE: AdaptiveSmoothed}
-
-
 @dataclass(frozen=True)
 class SoftChiFold(LimitDistribution):
     """Consistent-tuning soft limit at fixed dof: chi-type density folded
@@ -340,29 +183,17 @@ class SoftChiFold(LimitDistribution):
     zeta: float
     m: int
 
-    def cdf(self, x: float) -> float:
+    def _cdf(self, x):
         z = self.zeta
         if z >= 0.0:
-            if x >= 0.0:
-                return 1.0
-            if math.isinf(z) or x >= -z:
-                w = 0.0 if math.isinf(z) else sf.chi_square_tail(self.m, self.m * z * z)
-                tail = sf.rho_cdf(self.m, z) if math.isfinite(z) else 1.0
-                return w + tail - sf.rho_cdf(self.m, -x)
-            return 0.0
-        if x < 0.0:
-            return 0.0
-        if math.isinf(z) or x < -z:
-            return sf.rho_cdf(self.m, x)
-        return 1.0
+            # the atom plus the rho_m mass on (-x, z]
+            inner = self.atom_weight + sf.rho_cdf(self.m, z) - sf.rho_cdf(self.m, -x)
+            return np.where(x >= 0.0, 1.0, np.where(x >= -z, inner, 0.0))
+        return np.where(x < 0.0, 0.0, np.where(x < -z, sf.rho_cdf(self.m, x), 1.0))
 
-    def ac_density(self, x: float) -> float:
-        val = 0.0
-        if x + self.zeta < 0.0:
-            val += float(sf.rho_density(self.m, x))
-        if x + self.zeta > 0.0:
-            val += float(sf.rho_density(self.m, -x))
-        return val
+    def _density(self, x):
+        return (np.where(x + self.zeta < 0.0, sf.rho_density(self.m, x), 0.0)
+                + np.where(x + self.zeta > 0.0, sf.rho_density(self.m, -x), 0.0))
 
     @property
     def atom_weight(self) -> float:
@@ -387,32 +218,20 @@ class AdaptiveChiCdf(LimitDistribution):
         if not (math.isfinite(self.zeta) and self.zeta != 0.0):
             raise ValueError("this family is defined for finite nonzero zeta")
 
-    def cdf(self, x: float) -> float:
+    def _cdf(self, x):
         z = self.zeta
+        tail = sf.chi_square_tail(self.m, self.m * abs(x * z))
         if z > 0.0:
-            if x >= 0.0:
-                return 1.0
-            if x >= -z:
-                return sf.chi_square_tail(self.m, self.m * abs(x * z))
-            return 0.0
-        if x < 0.0:
-            return 0.0
-        if x < -z:
-            return 1.0 - sf.chi_square_tail(self.m, self.m * abs(x * z))
-        return 1.0
+            return np.where(x >= 0.0, 1.0, np.where(x >= -z, tail, 0.0))
+        return np.where(x < 0.0, 0.0, np.where(x < -z, 1.0 - tail, 1.0))
 
-    def ac_density(self, x: float) -> float:
-        z = self.zeta
-        inside = (-z <= x < 0.0) if z > 0.0 else (0.0 <= x < -z)
-        if not inside:
-            return 0.0
-        # d/dx of the chi-square tail at m*|x*z|
-        a = 0.5 * self.m
-        arg = 0.5 * self.m * abs(x * z)
-        if arg == 0.0:
-            return math.inf if self.m < 2 else (abs(z) * self.m * 0.25 if self.m == 2 else 0.0)
-        log_g = (a - 1.0) * math.log(arg) - arg - math.lgamma(a)
-        return 0.5 * self.m * abs(z) * math.exp(log_g)
+    def _density(self, x):
+        # -d/dx of the chi-square tail at m*|x*z| = 2t on the interval
+        z, a = self.zeta, 0.5 * self.m
+        inside = ((-z <= x) & (x < 0.0)) if z > 0.0 else ((0.0 <= x) & (x < -z))
+        t = a * abs(x * z)
+        log_g = xlogy(a - 1.0, t) - t - gammaln(a)
+        return np.where(inside, a * abs(z) * np.exp(log_g), 0.0)
 
     @property
     def atom_weight(self) -> float:
@@ -437,10 +256,18 @@ class OracleHardBoundary(LimitDistribution):
         if abs(self.zeta) != 1.0:
             raise ValueError("boundary family needs zeta = +-1")
 
-    def cdf(self, x: float) -> float:
+    def _cdf(self, x):
         if self.zeta == 1.0:
-            return max(_phi_cdf(self.r), _phi_cdf(x))
-        return _phi_cdf(min(x, -self.r))
+            return np.maximum(_phi_cdf(self.r), sf.normal_cdf(x))
+        return sf.normal_cdf(np.minimum(x, -self.r))
+
+    def _density(self, x):
+        kept = x > self.r if self.zeta == 1.0 else x < -self.r
+        return np.where(kept, sf.normal_pdf(x), 0.0)
+
+    @property
+    def _tails(self):
+        return float(self._cdf(-math.inf)), float(self._cdf(math.inf))
 
     @property
     def total_mass(self) -> float:
@@ -452,8 +279,11 @@ class OracleHardBoundary(LimitDistribution):
 class ShiftedNormal(LimitDistribution):
     w: float
 
-    def cdf(self, x: float) -> float:
-        return _phi_cdf(x + self.w)
+    def _cdf(self, x):
+        return sf.normal_cdf(x + self.w)
+
+    def _density(self, x):
+        return sf.normal_pdf(x + self.w)
 
 
 @dataclass(frozen=True)
@@ -466,8 +296,10 @@ class EscapesToInfinity(LimitDistribution):
         if self.direction not in (-1, 1):
             raise ValueError("direction must be +1 or -1")
 
-    def cdf(self, x: float) -> float:
+    def _cdf(self, x):
         raise RegimeNotCoveredError("the mass escapes to infinity; no cdf exists")
+
+    _density = _cdf
 
 
 def _check_mode(mode: str) -> str:
@@ -636,7 +468,7 @@ def uniform_rate(n: int, xi: float, eta: float) -> float:
     return min(math.sqrt(n) / xi, 1.0 / (xi * eta))
 
 
-def tv_distance(a: MixtureDistribution, b: MixtureDistribution, tol: float = 1e-6,
+def tv_distance(a: LimitDistribution, b: LimitDistribution, tol: float = 1e-6,
                 window: tuple[float, float] = (-60.0, 60.0),
                 breakpoints: tuple[float, ...] = ()) -> float:
     """|atom-weight difference| plus the L1 distance of the ac densities.

@@ -117,7 +117,7 @@ def sign_symmetry():
     eta = mc.default_eta(8)
     for kind in fd.KINDS:
         for mode in (fd.KNOWN, fd.VarianceMode.unknown_sigma(4)):
-            for th in (0.7, 2.0):
+            for th in (0.7, 1.5, 2.0):
                 pos = fd.ComponentSpec(8, 1.0, th, 1.0, eta)
                 neg = fd.ComponentSpec(8, 1.0, -th, 1.0, eta)
                 dw = abs(fd.deletion_probability(pos, mode) - fd.deletion_probability(neg, mode))
@@ -173,6 +173,7 @@ def adaptive_cdf_consistent_with_density():
 
 @_check
 def cdf_monotone():
+    # monotone on a grid, and continuous from the right at the atom
     grid = np.linspace(-8.0, 8.0, 161)
     for kind in fd.KINDS:
         for mode in (fd.KNOWN, fd.VarianceMode.unknown_sigma(4)):
@@ -180,6 +181,9 @@ def cdf_monotone():
                 vals = [fd.cdf(kind, mode, spec, float(x)) for x in grid]
                 diffs = np.diff(vals)
                 assert np.all(diffs >= -1e-12), f"{kind} not monotone"
+                a = spec.atom_location
+                step = fd.cdf(kind, mode, spec, a + 1e-9) - fd.cdf(kind, mode, spec, a)
+                assert abs(step) <= 1e-6, f"{kind}, theta={spec.theta}: right jump {step}"
 
 
 @_check
@@ -285,7 +289,7 @@ def soft_chi_fold_normalization():
 
 @_check
 def adaptive_chi_cdf_jump():
-    for zeta in (-1.2, -0.5, 0.5, 1.0, 2.0):
+    for zeta in (-1.5, -1.2, -0.5, 0.5, 1.0, 2.0):
         for m in (2, 4, 9):
             fam = lm.AdaptiveChiCdf(zeta, m)
             loc = fam.atom_location

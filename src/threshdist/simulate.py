@@ -28,7 +28,8 @@ import numpy as np
 
 from . import special as sf
 from .distributions import (ADAPTIVE, HARD, KINDS, SOFT, ComponentSpec,
-                            MixtureDistribution, VarianceMode, as_mixture)
+                            MixtureDistribution, VarianceMode, as_mixture,
+                            with_atom_neighborhood)
 from .estimators import (DesignSpec, LassoConfig, _lasso_rows, make_design,
                          threshold_estimate, xi_values)
 
@@ -296,10 +297,7 @@ def default_ks_grid(samples: np.ndarray, atom_location: float,
                     points: int = 801) -> np.ndarray:
     """Sample quantiles plus both one-sided neighborhoods of the atom."""
     qs = np.quantile(samples, np.linspace(0.0, 1.0, points))
-    # offsets large enough that dividing by a scaling cannot underflow
-    off = 1e-9 * max(1.0, abs(atom_location))
-    extra = [atom_location, atom_location - off, atom_location + off]
-    return np.unique(np.concatenate([qs, extra]))
+    return with_atom_neighborhood(qs, atom_location)
 
 
 # the twelve benchmark panels: estimator x design

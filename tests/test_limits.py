@@ -201,12 +201,15 @@ class TestLimitFamilies:
         assert abs(fam.cdf(-1.0) - (1.0 - sf.rho_cdf(4, 1.0))) <= 1e-12
         assert fam.cdf(0.0) == 1.0
 
-    def test_adaptive_chi_jump_height(self):
-        for zeta in (-1.5, -0.5, 0.5, 1.0, 2.0):
-            fam = lm.AdaptiveChiCdf(zeta, 4)
-            loc = fam.atom_location
-            eps = 1e-12 * max(1.0, abs(loc))
-            assert abs((fam.cdf(loc) - fam.cdf(loc - eps)) - fam.atom_weight) <= 1e-8
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_adaptive_chi_density_at_zero_is_cdf_slope(self, m):
+        # for zeta < 0 the density starts at x = 0; its value there is the
+        # right-hand slope of the cdf (|zeta| at m = 2, 0 for m > 2)
+        h = 1e-9
+        for zeta in (-1.0, -0.5):
+            fam = lm.AdaptiveChiCdf(zeta, m)
+            slope = (fam.cdf(h) - fam.cdf(0.0)) / h
+            assert abs(fam.ac_density(0.0) - slope) <= 1e-3, (zeta, slope)
 
     def test_smoothed_families_match_finite_sample_exactly(self):
         # the same substitution that freezes the known-variance law onto its
@@ -259,11 +262,17 @@ class TestLimitFamilies:
                 assert abs(fam.cdf(x) - reference(nu, e, x, False)) <= 1e-10, (nu, e, x)
 
     def test_conservative_families_scalar_matches_array(self):
-        # a float or numpy scalar gives the float at the matching array element
+        # for every catalog family, a float or numpy scalar gives the float at
+        # the matching array element
         x = np.concatenate([np.linspace(-4.0, 4.0, 9), [-0.7 - 1e-9, -0.7, -0.7 + 1e-9]])
         families = [lm.ExcisedNormal(0.7, 1.5), lm.SoftShiftNormal(0.7, 1.5),
                     lm.AdaptiveKnown(0.7, 1.5), lm.HardSmoothed(0.7, 1.5, 40),
-                    lm.SoftSmoothed(0.7, 1.5, 4), lm.AdaptiveSmoothed(0.7, 1.5, 1)]
+                    lm.SoftSmoothed(0.7, 1.5, 4), lm.AdaptiveSmoothed(0.7, 1.5, 1),
+                    lm.StdNormal(), lm.PointMass(-0.7), lm.TwoPointMixture(0.4, -0.7, 0.0),
+                    lm.SoftChiFold(0.7, 4), lm.SoftChiFold(-0.7, 2), lm.SoftChiFold(INF, 3),
+                    lm.AdaptiveChiCdf(0.7, 4), lm.AdaptiveChiCdf(-0.7, 2),
+                    lm.OracleHardBoundary(1.0, 0.2), lm.OracleHardBoundary(-1.0, 0.2),
+                    lm.ShiftedNormal(0.7)]
         for fam in families:
             for method in (fam.cdf, fam.ac_density):
                 values = method(x)
@@ -272,6 +281,8 @@ class TestLimitFamilies:
                     for scalar in (float(point), np.float64(point)):
                         out = method(scalar)
                         assert type(out) is float and out == value, (fam, point)
+            ends = fam.cdf(np.array([-INF, INF]))
+            assert [fam.cdf(-INF), fam.cdf(INF)] == list(ends), fam
 
     def test_oracle_hard_boundary_masses(self):
         phi_r = float(sf.normal_cdf(0.2))
@@ -281,6 +292,7 @@ class TestLimitFamilies:
         assert abs(fam.cdf(-30.0) - phi_r) <= 1e-12
         assert abs(fam.cdf(0.1) - phi_r) <= 1e-14       # flat below r
         assert abs(fam.cdf(30.0) - 1.0) <= 1e-12
+        assert (fam.cdf(-INF), fam.cdf(INF)) == (phi_r, 1.0)
         vals = [fam.cdf(float(x)) for x in np.linspace(-10, 10, 81)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         # zeta = -1: deletion mass escapes to +inf, evaluator tops out early
@@ -288,6 +300,7 @@ class TestLimitFamilies:
         assert abs(fam.total_mass - (1.0 - phi_r)) <= 1e-14
         assert fam.cdf(-30.0) <= 1e-12
         assert abs(fam.cdf(30.0) - fam.total_mass) <= 1e-14
+        assert fam.cdf(-INF) == 0.0 and abs(fam.cdf(INF) - fam.total_mass) <= 1e-14
 
 
 class TestOracleLimits:
@@ -349,14 +362,11 @@ class TestTvDistance:
 
     def test_definitional_example(self):
         # pure atom (weight 1) against a unit-mass density: 1 + 1 = 2
-        a = fd.MixtureDistribution(0.0, 1.0, lambda x: float(x >= 0.0), lambda x: 0.0)
-        b = fd.MixtureDistribution(
-            0.0, 0.0, lambda x: float(sf.normal_cdf(x)), lambda x: float(sf.normal_pdf(x)))
+        a, b = lm.PointMass(0.0), lm.ExcisedNormal(0.0, 0.0)
         assert abs(lm.tv_distance(a, b, window=(-12.0, 12.0)) - 2.0) <= 1e-6
 
     def test_atom_location_mismatch_rejected(self):
-        a = fd.MixtureDistribution(0.0, 1.0, lambda x: float(x >= 0.0), lambda x: 0.0)
-        b = fd.MixtureDistribution(1.0, 1.0, lambda x: float(x >= 1.0), lambda x: 0.0)
+        a, b = lm.PointMass(0.0), lm.PointMass(1.0)
         with pytest.raises(ValueError):
             lm.tv_distance(a, b)
 

@@ -7,6 +7,7 @@ import pytest
 
 from threshdist import distributions as fd
 from threshdist import estimators as est
+from threshdist import limits as lm
 from threshdist import simulate as mc
 from threshdist import special as sf
 
@@ -214,10 +215,7 @@ class TestKsDistance:
         # every sample at the atom: the pure-atom mixture matches exactly
         samples = np.zeros(5)
         emp = mc.empirical_mixed_cdf(samples, 0.0)
-        mix = fd.MixtureDistribution(
-            0.0, 1.0,
-            cdf=lambda x: np.heaviside(x, 1.0),
-            ac_density=lambda x: 0.0)
+        mix = lm.PointMass(0.0)
         grid = np.array([-1.0, -1e-9, 0.0, 1e-9, 2.0])
         assert mc.ks_distance(emp, mix, grid) == 0.0
 
