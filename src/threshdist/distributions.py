@@ -129,19 +129,26 @@ class ComponentSpec:
     alpha: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
+        # the quadratures build a spec per node, so an int n and float fields
+        # are kept as given, without the slower abstract-class checks and stores
+        n = self.n
+        if type(n) is not int and isinstance(n, numbers.Integral):
+            n = int(n)
+        if not (type(n) is int and n >= 1):
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
-        for name in ("xi", "sigma", "eta"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a finite positive real, got {v!r}")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta!r}")
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", root_n_over_xi(self.n, self.xi))
-        elif not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be a finite positive real, got {self.alpha!r}")
+        if n is not self.n:
+            object.__setattr__(self, "n", n)
+        for name in ("xi", "theta", "sigma", "eta", "alpha"):
+            v = given = getattr(self, name)
+            if given is None and name == "alpha":
+                v = root_n_over_xi(self.n, self.xi)
+            elif type(given) is not float and isinstance(given, numbers.Real):
+                v = float(given)
+            if not (type(v) is float and math.isfinite(v) and (name == "theta" or v > 0)):
+                kind = "real" if name == "theta" else "positive real"
+                raise ValueError(f"{name} must be a finite {kind}, got {given!r}")
+            if v is not given:
+                object.__setattr__(self, name, v)
 
     # shorthands used throughout the formulas
     @property

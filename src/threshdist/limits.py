@@ -116,10 +116,6 @@ class RegimeParams:
             if not (float(self.dof).is_integer() and self.dof >= 1):
                 raise ValueError(f"dof must be a positive integer or inf, got {self.dof!r}")
 
-    @property
-    def conservative(self) -> bool:
-        return _need(self.e, "e") < math.inf
-
     def fixed_dof(self) -> int:
         m = _need(self.dof, "dof")
         if m == DIVERGING:
@@ -370,33 +366,21 @@ def limit_distribution(kind: str, mode: str, params: RegimeParams) -> LimitDistr
     # consistent tuning, scaling 1/(xi*eta)
     zeta = _need(params.zeta, "zeta")
     fixed = mode == "unknown" and _need(params.dof, "dof") != DIVERGING
+    if kind == HARD:
+        # deleted coordinates sit at -zeta, kept ones at 0
+        if math.isinf(zeta) or (not fixed and abs(zeta) > 1.0):
+            return PointMass(0.0)
+        if not fixed and abs(zeta) < 1.0:
+            return PointMass(-zeta)
+        return TwoPointMixture(limit_selection_probability(params, mode), -zeta, 0.0)
     if fixed:
         m = params.fixed_dof()
-        if kind == HARD:
-            if math.isinf(zeta):
-                return PointMass(0.0)
-            return TwoPointMixture(sf.chi_square_tail(m, m * zeta * zeta), -zeta, 0.0)
         if kind == SOFT:
             return SoftChiFold(zeta, m)
         if zeta == 0.0 or math.isinf(zeta):
             return PointMass(0.0)
         return AdaptiveChiCdf(zeta, m)
 
-    if kind == HARD:
-        if abs(zeta) < 1.0:
-            return PointMass(-zeta)
-        if abs(zeta) > 1.0:
-            return PointMass(0.0)
-        if mode == "known":
-            return TwoPointMixture(_phi_cdf(_need(params.r, "r")), -zeta, 0.0)
-        d = _need(params.d, "d")
-        if d == 0.0:
-            weight = _phi_cdf(_need(params.r, "r"))
-        elif d < math.inf:
-            weight = _gauss_average(d, _need(params.r, "r"))
-        else:
-            weight = _phi_cdf(_need(params.r_prime, "r_prime"))
-        return TwoPointMixture(weight, -zeta, 0.0)
     if kind == SOFT:
         if zeta == 0.0:
             return PointMass(0.0)

@@ -71,9 +71,7 @@ def default_eta(n: int) -> float:
 class SimConfig:
     """One simulation run.
 
-    ``eta`` of None selects :func:`default_eta`.  ``sigma = 0`` is a
-    degenerate test hook: responses carry no noise and the scaled samples
-    are computed with the factor 1/sigma dropped.
+    ``eta`` of None selects :func:`default_eta`.
     """
 
     design: DesignSpec
@@ -93,8 +91,8 @@ class SimConfig:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if not all(math.isfinite(t) for t in self.theta):
             raise ValueError(f"theta must be finite, got {self.theta!r}")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma!r}")
         if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be finite and positive, got {self.eta!r}")
         if not (isinstance(self.reps, numbers.Integral) and self.reps >= 1):
@@ -158,10 +156,9 @@ def _overlay(config: SimConfig, xi: np.ndarray) -> tuple:
     kind = _matching_kind(config.estimator)
     n, k = config.design.n, config.design.k
     mode = VarianceMode.unknown_sigma(n - k) if config.feasible else VarianceMode.known_sigma()
-    sigma = config.sigma if config.sigma > 0 else 1.0
     mixes = []
     for i in range(k):
-        spec = ComponentSpec(n=n, xi=float(xi[i]), theta=config.theta[i], sigma=sigma,
+        spec = ComponentSpec(n=n, xi=float(xi[i]), theta=config.theta[i], sigma=config.sigma,
                              eta=config.eta_value())
         mixes.append(as_mixture(kind, mode, spec))
     return tuple(mixes)
@@ -219,8 +216,7 @@ def run_study(config: SimConfig) -> SimResult:
             raise SolverFailureRateError(
                 f"{failures} of {reps} replications failed to converge")
 
-    inv_sigma = 1.0 / config.sigma if config.sigma > 0 else 1.0
-    scaled = math.sqrt(n) * inv_sigma * (estimates - theta[None, :]) / xi[None, :]
+    scaled = math.sqrt(n) / config.sigma * (estimates - theta[None, :]) / xi[None, :]
     zero_mask = estimates == 0.0
     zero_prop = zero_mask.mean(axis=0)
 

@@ -153,9 +153,9 @@ def rho_quantile(m: int, p: float) -> float:
     return math.sqrt(2.0 * special.gammaincinv(0.5 * m, p) / m)
 
 
-def rho_support(m: int, tail_mass: float = SUPPORT_TAIL_MASS) -> tuple[float, float]:
-    """Interval carrying all but ``tail_mass`` of the rho_m mass on each side."""
-    return rho_quantile(m, tail_mass), rho_quantile(m, 1.0 - tail_mass)
+def rho_support(m: int) -> tuple[float, float]:
+    """Interval carrying all but SUPPORT_TAIL_MASS of the rho_m mass on each side."""
+    return rho_quantile(m, SUPPORT_TAIL_MASS), rho_quantile(m, 1.0 - SUPPORT_TAIL_MASS)
 
 
 def integrate_rho(m: int, f: Callable[[float], float], tol: float = DEFAULT_TOL,

@@ -331,33 +331,6 @@ class TestBatchedSolver:
         assert not np.any(np.signbit(theta[zeros]))
 
 
-class TestEquivariance:
-    # the lasso is equivariant under the design-adapted penalty rules, the
-    # adaptive lasso under design-independent penalties (its least-squares
-    # denominator already absorbs the column scale)
-    @pytest.mark.parametrize("solver,rule", [
-        (est.lasso, "eta_xi_inverse"),
-        (est.lasso, "eta_psi"),
-        (est.adaptive_lasso, "constant"),
-    ])
-    def test_lasso_column_scaling(self, solver, rule):
-        rng = np.random.default_rng(14)
-        X = rng.standard_normal((12, 4))
-        Y = rng.standard_normal(12)
-        c, j = 3.7, 2
-        Xs = X.copy()
-        Xs[:, j] *= c
-        _, s2 = est.least_squares(est.RegressionData(X, Y))
-        _, s2s = est.least_squares(est.RegressionData(Xs, Y))
-        cfg = est.LassoConfig(rule, 0.3)
-        base = solver(est.RegressionData(X, Y), cfg, math.sqrt(s2))
-        scaled = solver(est.RegressionData(Xs, Y), cfg, math.sqrt(s2s))
-        assert np.max(np.abs(X @ base - Xs @ scaled)) <= 1e-8
-        expect = base.copy()
-        expect[j] /= c
-        assert np.max(np.abs(scaled - expect)) <= 1e-8
-
-
 class TestMatrixIo:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(15)

@@ -189,18 +189,6 @@ class TestLimitFamilies:
                                     points=[fam.atom_location])
             assert abs(fam.atom_weight + val - 1.0) <= 1e-8, type(fam).__name__
 
-    def test_soft_chi_fold_normalization_and_infinite_zeta(self):
-        for zeta in (-2.0, -0.5, 0.0, 0.5, 2.0):
-            fam = lm.SoftChiFold(zeta, 4)
-            val, _ = integrate.quad(fam.ac_density, -12.0, 12.0, limit=300,
-                                    points=[0.0, -zeta])
-            assert abs(fam.atom_weight + val - 1.0) <= 1e-8
-        # |zeta| = inf: no atom, pure half density
-        fam = lm.SoftChiFold(INF, 4)
-        assert fam.atom_weight == 0.0
-        assert abs(fam.cdf(-1.0) - (1.0 - sf.rho_cdf(4, 1.0))) <= 1e-12
-        assert fam.cdf(0.0) == 1.0
-
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_adaptive_chi_density_at_zero_is_cdf_slope(self, m):
         # for zeta < 0 the density starts at x = 0; its value there is the
@@ -369,15 +357,3 @@ class TestTvDistance:
         a, b = lm.PointMass(0.0), lm.PointMass(1.0)
         with pytest.raises(ValueError):
             lm.tv_distance(a, b)
-
-    def test_known_unknown_distance_shrinks_with_n(self):
-        def tv_at(n, kind):
-            eta = n ** -0.25
-            spec = fd.ComponentSpec(n, 1.0, 0.0, 1.0, eta)
-            known = fd.as_mixture(kind, fd.KNOWN, spec)
-            unknown = fd.as_mixture(kind, fd.VarianceMode.unknown_sigma(n // 2), spec)
-            b = math.sqrt(n) * eta
-            return lm.tv_distance(known, unknown, window=(-b - 9.0, b + 9.0),
-                                  breakpoints=(-b, 0.0, b))
-
-        assert tv_at(100, fd.HARD) < tv_at(20, fd.HARD)

@@ -36,11 +36,10 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             small_config(reps=0)
         for bad in (dict(sigma=math.nan), dict(sigma=math.inf), dict(sigma=-1.0),
-                    dict(theta=(3.0, math.inf, 0.0, 0.0)), dict(eta=math.nan),
-                    dict(eta=math.inf), dict(eta=0.0)):
+                    dict(sigma=0.0), dict(theta=(3.0, math.inf, 0.0, 0.0)),
+                    dict(eta=math.nan), dict(eta=math.inf), dict(eta=0.0)):
             with pytest.raises(ValueError):
                 small_config(**bad)
-        assert small_config(sigma=0.0).sigma == 0.0  # the noiseless test hook
         with pytest.raises(ValueError):
             mc.SimConfig(design=est.DesignSpec("II", 4, 4, c=0.2), theta=(0.0,) * 4,
                          sigma=1.0, estimator="hard", feasible=True, reps=10, seed=0)
@@ -70,15 +69,6 @@ class TestDeterminism:
         a = mc.run_study(small_config())
         b = mc.run_study(small_config(seed=18))
         assert not np.array_equal(a.scaled_samples, b.scaled_samples)
-
-    def test_replication_streams_are_schedule_independent(self):
-        # drawing replication noise in any order reproduces the same rows
-        order = np.random.default_rng(0).permutation(100)
-        shuffled = np.empty((100, 8))
-        for r in order:
-            shuffled[r] = mc.replication_noise(123, int(r), 8)
-        direct = np.stack([mc.replication_noise(123, r, 8) for r in range(100)])
-        assert np.array_equal(shuffled, direct)
 
     @pytest.mark.parametrize("seed", [0, 7, 2**63])
     @pytest.mark.parametrize("reps", [1, 17, 300])
@@ -118,23 +108,8 @@ class TestDeterminism:
                                              feasible=True, reps=m))
             assert np.array_equal(part.scaled_samples, full.scaled_samples[:m]), m
 
-    def test_sigma_zero_degenerate_hook(self):
-        res = mc.run_study(small_config(sigma=0.0, reps=50))
-        assert np.all(res.scaled_samples == res.scaled_samples[0])
-        assert np.all(res.scaled_samples[:, :2] == 0.0)  # exact recovery
-
 
 class TestRunStudy:
-    def test_zero_proportions_match_analytic(self):
-        reps = 20_000
-        res = mc.run_study(small_config(reps=reps, estimator="soft", feasible=True))
-        mode = fd.VarianceMode.unknown_sigma(4)
-        for i in range(4):
-            spec = fd.ComponentSpec(8, float(res.xi[i]), THETA[i], 1.0, mc.default_eta(8))
-            w = fd.deletion_probability(spec, mode)
-            se = math.sqrt(max(w * (1.0 - w), 1e-12) / reps)
-            assert abs(res.zero_proportion[i] - w) <= max(4.0 * se, 3.0 / reps)
-
     def test_histogram_mass_accounting(self):
         res = mc.run_study(small_config(reps=5000))
         width = res.hist_edges[1] - res.hist_edges[0]
@@ -148,19 +123,6 @@ class TestRunStudy:
         res = mc.run_study(small_config(reps=10))
         spec = fd.ComponentSpec(8, 1.0, 0.0, 1.0, mc.default_eta(8))
         assert abs(res.overlay[2].atom_weight - fd.deletion_probability(spec)) <= 1e-12
-
-    def test_lasso_matches_soft_on_diagonal_design(self):
-        # X'X diagonal: the lasso with eta/xi penalties IS soft thresholding
-        reps = 400
-        a = mc.run_study(small_config(estimator="lasso", feasible=True, reps=reps))
-        b = mc.run_study(small_config(estimator="soft", feasible=True, reps=reps))
-        assert np.max(np.abs(a.scaled_samples - b.scaled_samples)) <= 1e-8
-
-    def test_adaptive_lasso_matches_adaptive_on_diagonal_design(self):
-        reps = 400
-        a = mc.run_study(small_config(estimator="adaptive-lasso", feasible=True, reps=reps))
-        b = mc.run_study(small_config(estimator="adaptive", feasible=True, reps=reps))
-        assert np.max(np.abs(a.scaled_samples - b.scaled_samples)) <= 1e-8
 
     def test_too_many_solver_failures_abort(self, monkeypatch):
         # every replication runs out of its single sweep
@@ -190,15 +152,6 @@ class TestEmpiricalMixedCdf:
         assert emp(1.5) == 1.0
         assert emp.left(1.5) == 0.0
         assert emp(math.inf) == 1.0
-
-    def test_normal_draws_ks(self):
-        gen = np.random.Generator(np.random.Philox(key=np.array([123, 0], dtype=np.uint64)))
-        draws = gen.standard_normal(100_000)
-        emp = mc.empirical_mixed_cdf(draws, 0.0)
-        grid = np.linspace(-4.0, 4.0, 321)
-        ks = max(abs(emp(float(x)) - float(sf.normal_cdf(float(x)))) for x in grid)
-        assert ks <= 1.36 / math.sqrt(draws.size) * 1.5
-
 
 class TestKsDistance:
     def test_zero_against_itself(self):

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate, stats
@@ -114,11 +113,6 @@ class TestChiSquareTail:
         val, _ = integrate.quad(lambda t: 0.25 * t * math.exp(-0.5 * t), 4.0, 200.0)
         assert abs(sf.chi_square_tail(4, 4.0) - val) <= 1e-10
 
-    def test_monotone_decreasing(self):
-        xs = np.linspace(0.0, 50.0, 101)
-        vals = [sf.chi_square_tail(6, float(x)) for x in xs]
-        assert all(b <= a for a, b in zip(vals, vals[1:]))
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             sf.chi_square_tail(4, -0.1)
@@ -139,10 +133,6 @@ class TestNoncentralT:
     def test_against_series_oracle(self, m, c, x):
         # independent oracle: the incomplete-beta series implementation
         assert abs(sf.noncentral_t_cdf(m, c, x) - stats.nct.cdf(x, m, c)) <= 1e-8
-
-    def test_monotone_in_x(self):
-        vals = [sf.noncentral_t_cdf(4, 1.0, float(x)) for x in np.linspace(-8, 8, 65)]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_invalid_dof(self):
         with pytest.raises(ValueError):
