@@ -8,7 +8,7 @@ distributions  exact finite-sample mixed laws of the six estimator variants,
 limits         moving-parameter limit catalog, selection-probability limits,
                uniform rates, total-variation diagnostics
 estimators     least squares, thresholding rules, lasso and adaptive lasso by
-               coordinate descent, benchmark design generators
+               an exact homotopy, benchmark design generators
 simulate       seeded Monte Carlo harness and the benchmark histogram study
 cli            command-line front end (``threshdist ...``)
 """

@@ -1,8 +1,9 @@
 """Data-level estimators and the two benchmark design generators.
 
 All five shrinkage estimators produce exact floating-point zeros by
-construction (through max(., 0) or an indicator), never by rounding, so a
-zero coefficient can be detected by comparison with 0.0.
+construction (through max(., 0), an indicator, or the support of the exact
+lasso homotopy), never by rounding, so a zero coefficient can be detected by
+comparison with 0.0.
 """
 
 from __future__ import annotations
@@ -41,12 +42,8 @@ class SingularDesignError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Coordinate descent ran out of sweeps."""
-
-    def __init__(self, message: str, iterate: np.ndarray, max_change: float):
-        super().__init__(message)
-        self.iterate = iterate
-        self.max_change = max_change
+    """The lasso homotopy visited more (support, sign) patterns than exist:
+    rounding made its path cycle."""
 
 
 @dataclass(frozen=True)
@@ -184,7 +181,7 @@ def threshold_estimate(kind: str, ls, scale, xi, eta):
 
 @dataclass(frozen=True)
 class LassoConfig:
-    """Penalty rule plus coordinate-descent controls.
+    """Penalty rule.
 
     The rule fixes the per-component penalty levels eta'_i:
 
@@ -192,36 +189,34 @@ class LassoConfig:
     - ``eta_xi_inverse``:  eta'_i = eta / xi_i  (scale equivariant);
     - ``eta_psi``:         eta'_i = eta * psi_i (scale equivariant);
     - ``constant``:        eta'_i = eta' for all i.
+
+    Every level must be finite and nonnegative.
     """
 
     rule: str
     value: float | np.ndarray
-    tol: float = 1e-12
-    max_sweeps: int = 100_000
 
     _RULES = ("per_component", "eta_xi_inverse", "eta_psi", "constant")
 
     def __post_init__(self):
         if self.rule not in self._RULES:
             raise ValueError(f"rule must be one of {self._RULES}, got {self.rule!r}")
-        if self.tol <= 0 or self.max_sweeps < 1:
-            raise ValueError("tol must be positive and max_sweeps >= 1")
 
     @classmethod
-    def per_component(cls, values, **kw) -> "LassoConfig":
-        return cls("per_component", np.asarray(values, dtype=float), **kw)
+    def per_component(cls, values) -> "LassoConfig":
+        return cls("per_component", np.asarray(values, dtype=float))
 
     @classmethod
-    def eta_xi_inverse(cls, eta: float, **kw) -> "LassoConfig":
-        return cls("eta_xi_inverse", float(eta), **kw)
+    def eta_xi_inverse(cls, eta: float) -> "LassoConfig":
+        return cls("eta_xi_inverse", float(eta))
 
     @classmethod
-    def eta_psi(cls, eta: float, **kw) -> "LassoConfig":
-        return cls("eta_psi", float(eta), **kw)
+    def eta_psi(cls, eta: float) -> "LassoConfig":
+        return cls("eta_psi", float(eta))
 
     @classmethod
-    def constant(cls, eta_prime: float, **kw) -> "LassoConfig":
-        return cls("constant", float(eta_prime), **kw)
+    def constant(cls, eta_prime: float) -> "LassoConfig":
+        return cls("constant", float(eta_prime))
 
     def penalties(self, X: np.ndarray) -> np.ndarray:
         k = X.shape[1]
@@ -229,35 +224,44 @@ class LassoConfig:
             vec = np.asarray(self.value, dtype=float)
             if vec.shape != (k,):
                 raise ValueError(f"need {k} per-component penalties, got shape {vec.shape}")
-            return vec
-        if self.rule == "eta_xi_inverse":
-            return self.value / xi_values(X)
-        if self.rule == "eta_psi":
-            return self.value * psi_values(X)
-        return np.full(k, float(self.value))
+        elif self.rule == "eta_xi_inverse":
+            vec = self.value / xi_values(X)
+        elif self.rule == "eta_psi":
+            vec = self.value * psi_values(X)
+        else:
+            vec = np.full(k, float(self.value))
+        if not np.all(np.isfinite(vec) & (vec >= 0)):
+            raise ValueError(f"penalties must be finite and nonnegative, got {vec!r}")
+        return vec
 
 
 def _lasso_rows(X: np.ndarray, Y: np.ndarray, theta_ls: np.ndarray, sigma_hat: np.ndarray,
-                config: LassoConfig, adaptive: bool):
-    """Lasso (adaptive lasso if ``adaptive``) of each row of ``Y`` on X from the
-    least-squares fits ``theta_ls``, by cyclic coordinate descent in the
-    covariance form of Friedman, Hastie and Tibshirani (2010), elementwise in a
-    fixed order so that a row's result does not depend on the batch.  Returns
-    the solutions and each row's last largest change in a sweep; a row stops
-    once that is within ``config.tol``, so a row above it ran out of sweeps.
+                config: LassoConfig, adaptive: bool) -> np.ndarray:
+    """Lasso (adaptive lasso if ``adaptive``) of each row of ``Y`` on X, exactly,
+    by the homotopy of Osborne, Presnell and Turlach (2000) from the
+    least-squares fits ``theta_ls``.
 
-    Cyclic descent usually finds the support within a few sweeps but converges
-    only linearly on correlated designs.  So after sweeps 1, 2, 4, 8, ...
-    (unless it was the last) every unconverged row also tries an exact
-    active-set step (:func:`_active_set_step`): the solution of the KKT
-    system on its current support and signs.  The step is kept only where
-    the KKT conditions hold, and the row then goes on sweeping; the next
-    sweep leaves a kept step in place up to rounding and freezes the row by
-    the usual ``change <= tol`` test, so every result is still the output of
-    a coordinate-descent sweep, and a row whose steps are all refused takes
-    the plain descent path."""
-    if np.any(sigma_hat <= 0):
-        raise ValueError(f"sigma_hat must be positive, got {np.min(sigma_hat)!r}")
+    With G = X'X and thresholds t, the path runs in a penalty scale tau from
+    0 to 1 with thresholds tau * t.  At tau = 0 the solution is ``theta_ls``,
+    so every nonzero coordinate starts active with its sign.  On a support A
+    with signs s the solution is theta_A = u - tau * v, where
+    G_AA u = (X'Y)_A and G_AA v = t_A * s_A, and the gradient X'Y - G theta
+    off A is p + tau * q.  A row's next event is the smallest tau at which an
+    active coordinate reaches 0 (it leaves) or an inactive |gradient| reaches
+    tau * t (it joins with the sign of q).  A crossing counts only in the
+    direction the coordinate moves, so rounding cannot make a coordinate
+    rejoin just after it left.  The row finishes at tau = 1 with
+    theta_A = u - v and exact zeros off A.
+
+    Each pass is one stacked LAPACK solve, identity rows standing in for the
+    inactive coordinates, and the gradients are elementwise sums in a fixed
+    order, so a row's result does not depend on the batch.  The exact path
+    visits each of the 3^k (support, sign) patterns at most once, so a row
+    still open after 3^k passes is caught in a rounding cycle and raises
+    :class:`NonConvergenceError`."""
+    bad = ~(np.isfinite(sigma_hat) & (sigma_hat > 0))
+    if bad.any():
+        raise ValueError(f"sigma_hat must be finite and positive, got {sigma_hat[bad][0]!r}")
     n, k = X.shape
     eta_prime = config.penalties(X)
     sigma_hat = sigma_hat[:, None]
@@ -265,75 +269,51 @@ def _lasso_rows(X: np.ndarray, Y: np.ndarray, theta_ls: np.ndarray, sigma_hat: n
         if np.any(np.abs(theta_ls) <= np.finfo(float).tiny):
             raise ValueError("adaptive penalty weights are undefined: a least-squares "
                              "component is zero")
-        thresholds = n * sigma_hat ** 2 * eta_prime ** 2 / np.abs(theta_ls)
+        t = n * sigma_hat ** 2 * eta_prime ** 2 / np.abs(theta_ls)
     else:
-        thresholds = n * sigma_hat * eta_prime
+        t = np.broadcast_to(n * sigma_hat * eta_prime, theta_ls.shape)
     gram = X.T @ X
     g = gram.tolist()
-    # coordinate-major: one contiguous vector per coordinate; einsum rather
-    # than BLAS keeps each row's X'Y independent of the batch
-    theta, t = theta_ls.T.copy(), thresholds.T.copy()
-    xty = np.einsum("rn,nk->rk", Y, X).T.copy()
-    out, last = np.empty_like(theta), np.empty(theta.shape[1])
-    rows = np.arange(theta.shape[1])
-    for sweep in range(1, config.max_sweeps + 1):
-        old = theta.copy()
-        for i in range(k):
-            z = xty[i] - sum(g[i][j] * theta[j] for j in range(k) if j != i)
-            # soft threshold: z - clip(z, -t, t) is exactly z - t, z + t or 0.0
-            theta[i] = (z - np.minimum(np.maximum(z, -t[i]), t[i])) / g[i][i]
-        change = np.abs(theta - old).max(axis=0)
-        done = change <= config.tol
-        if done.any():  # freeze converged rows, go on with the rest
-            out[:, rows[done]], last[rows[done]] = theta[:, done], change[done]
-            keep = ~done
-            rows, theta, xty, t, change = (rows[keep], theta[:, keep], xty[:, keep],
-                                           t[:, keep], change[keep])
-            if not rows.size:
-                break
-        if sweep & (sweep - 1) == 0 and sweep < config.max_sweeps:
-            _active_set_step(gram, xty, t, theta)
-    out[:, rows], last[rows] = theta, change
-    return out.T, last
-
-
-def _active_set_step(gram: np.ndarray, xty: np.ndarray, t: np.ndarray,
-                     theta: np.ndarray) -> None:
-    """Replace, in place, each column of the coordinate-major ``theta`` by the
-    lasso solution on its support A and signs, where that is one.
-
-    The candidate solves G_AA theta_A = X'Y_A - t_A * sign(theta_A) and is zero
-    off A (identity rows stand in for the inactive coordinates, so one
-    stacked solve covers every row).  It is kept only if its signs on A
-    match and the gradient g = X'Y - G theta satisfies |g_j| <= t_j off A:
-    then it satisfies the KKT conditions.  LAPACK solves each row's system
-    on its own and the gradient uses the sweep's elementwise sums in its
-    order, so a row's step does not depend on the batch."""
-    k = theta.shape[0]
-    g = gram.tolist()
-    active = theta != 0.0
-    sign = np.sign(theta)
-    a = np.where(active[:, None, :] & active[None, :, :], gram[:, :, None], 0.0)
+    # einsum rather than BLAS keeps each row's X'Y independent of the batch
+    xty = np.einsum("rn,nk->rk", Y, X)
+    sign = np.sign(theta_ls)
+    tau = np.zeros(len(xty))
+    rows = np.arange(len(xty))
+    out = np.empty_like(xty)
     diag = np.arange(k)
-    a[diag, diag] += ~active
-    rhs = np.where(active, xty - t * sign, 0.0)
-    cand = np.linalg.solve(a.transpose(2, 0, 1), rhs.T[:, :, None])[:, :, 0].T
-    cand = np.where(active, cand, 0.0)
-    grad = np.array([xty[i] - sum(g[i][j] * cand[j] for j in range(k)) for i in range(k)])
-    ok = np.where(active, np.sign(cand) == sign, np.abs(grad) <= t).all(axis=0)
-    theta[:, ok] = cand[:, ok]
+    for _ in range(3 ** k):
+        active = sign != 0.0
+        a = np.where(active[:, :, None] & active[:, None, :], gram, 0.0)
+        a[:, diag, diag] += ~active
+        rhs = np.where(active[:, :, None], np.stack([xty, t * sign], axis=-1), 0.0)
+        u, v = np.moveaxis(np.linalg.solve(a, rhs), -1, 0)
+        p = np.stack([xty[:, i] - sum(g[i][j] * u[:, j] for j in range(k))
+                      for i in range(k)], axis=1)
+        q = np.stack([sum(g[i][j] * v[:, j] for j in range(k)) for i in range(k)], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            event = np.where(active & (sign * v > 0), u / v,
+                             np.where(~active & (q > t), p / (t - q),
+                                      np.where(~active & (q < -t), -p / (t + q), np.inf)))
+        event = np.maximum(event, tau[:, None])
+        j = np.argmin(event, axis=1)
+        r = np.arange(len(rows))
+        tau = event[r, j]
+        done = tau >= 1.0
+        out[rows[done]] = np.where(active, u - v, 0.0)[done]
+        sign[r, j] = np.where(active[r, j], 0.0, np.sign(q[r, j]))
+        keep = ~done
+        if not keep.any():
+            return out
+        rows, tau, sign, xty, t = rows[keep], tau[keep], sign[keep], xty[keep], t[keep]
+    raise NonConvergenceError(
+        f"lasso homotopy: {rows.size} rows still open after all 3^{k} (support, sign) "
+        "patterns; rounding made their paths cycle")
 
 
 def _solve_one(data: RegressionData, config: LassoConfig, sigma_hat: float, adaptive: bool):
     theta_ls, _ = least_squares(data)
-    theta, change = _lasso_rows(data.X, data.Y[None, :], theta_ls[None, :],
-                                np.array([float(sigma_hat)]), config, adaptive)
-    if change[0] > config.tol:
-        raise NonConvergenceError(
-            f"coordinate descent did not converge within {config.max_sweeps} sweeps "
-            f"(last max coordinate change {change[0]:.3e})",
-            iterate=theta[0], max_change=float(change[0]))
-    return theta[0]
+    return _lasso_rows(data.X, data.Y[None, :], theta_ls[None, :],
+                       np.array([float(sigma_hat)]), config, adaptive)[0]
 
 
 def lasso(data: RegressionData, config: LassoConfig, sigma_hat: float) -> np.ndarray:

@@ -8,7 +8,6 @@ import pytest
 
 from threshdist import cli
 from threshdist import distributions as fd
-from threshdist import estimators as est
 from threshdist import limits as lm
 from threshdist import selfcheck
 from threshdist import simulate as mc
@@ -212,25 +211,6 @@ class TestSimulate:
         meta = json.loads((tmp_path / "study_meta.json").read_text())
         assert meta["estimator"] == "lasso"
         assert meta["solver_failures"] == 0
-
-
-class TestSolverFailureAbort:
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--variant", "I", "--rho", "0.5", "--n", "8", "--k", "4",
-         "--theta", "3,1.5,0,0", "--estimator", "lasso", "--reps", "20", "--seed", "3"],
-        ["reproduce", "--seed", "3", "--reps", "20"]], ids=["simulate", "reproduce"])
-    def test_numeric_exit_code(self, capsys, monkeypatch, tmp_path, argv):
-        # every replication runs out of its single sweep
-        monkeypatch.setattr(est.LassoConfig.__init__, "__defaults__", (1e-15, 1))
-        if argv[0] == "reproduce":
-            argv = argv + ["--out", str(tmp_path)]
-        code, _, err = run_cli(capsys, *argv)
-        assert code == 3
-        lines = err.splitlines()
-        assert len(lines) == 1
-        payload = json.loads(lines[0])
-        assert payload["exit_code"] == 3
-        assert payload["error"] == "20 of 20 replications failed to converge"
 
 
 class TestReproduce:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -205,13 +206,23 @@ class TestLasso:
         probes = sol[None, :] + rng.normal(scale=0.3, size=(100_000, 4))
         assert objective(sol[None, :])[0] <= np.min(objective(probes)) + 1e-12
 
-    def test_nonconvergence_carries_iterate(self):
+    @pytest.mark.parametrize("config, sigma_hat", [
+        (est.LassoConfig.constant(-0.4), 1.0),
+        (est.LassoConfig.constant(math.nan), 1.0),
+        (est.LassoConfig.constant(math.inf), 1.0),
+        (est.LassoConfig.eta_xi_inverse(-0.4), 1.0),
+        (est.LassoConfig.per_component([0.4, 0.4, -0.1, 0.4]), 1.0),
+        (est.LassoConfig.constant(0.4), math.nan),
+        (est.LassoConfig.constant(0.4), math.inf),
+        (est.LassoConfig.constant(0.4), 0.0),
+    ], ids=["negative", "nan", "inf", "negative-rule", "negative-component",
+            "nan-sigma", "inf-sigma", "zero-sigma"])
+    def test_bad_inputs_rejected(self, config, sigma_hat):
         rng = np.random.default_rng(9)
-        X = rng.standard_normal((8, 4))
-        data = est.RegressionData(X, rng.standard_normal(8))
-        with pytest.raises(est.NonConvergenceError) as exc:
-            est.lasso(data, est.LassoConfig.constant(0.4, max_sweeps=1, tol=1e-15), 1.0)
-        assert exc.value.iterate.shape == (4,)
+        data = est.RegressionData(rng.standard_normal((8, 4)), rng.standard_normal(8))
+        for solver in (est.lasso, est.adaptive_lasso):
+            with pytest.raises(ValueError):
+                solver(data, config, sigma_hat)
 
 
 class TestAdaptiveLasso:
@@ -243,8 +254,16 @@ class TestAdaptiveLasso:
             est.adaptive_lasso(data, est.LassoConfig.constant(0.5), 1.0)
 
 
+def lasso_thresholds(X, ls, sig, cfg, adaptive):
+    """Per-row thresholds t of the KKT conditions |X'Y - X'X theta| <= t."""
+    eta_prime = cfg.penalties(X)
+    if adaptive:
+        return len(X) * sig[:, None] ** 2 * eta_prime ** 2 / np.abs(ls)
+    return np.broadcast_to(len(X) * sig[:, None] * eta_prime, ls.shape)
+
+
 class TestBatchedSolver:
-    """The coordinate-descent kernel solves every row on its own."""
+    """The homotopy solves every row exactly and on its own."""
 
     @staticmethod
     def problem(rows, design=est.DesignSpec("II", 8, 4, c=2.0)):
@@ -261,38 +280,18 @@ class TestBatchedSolver:
         alone = [est._lasso_rows(X, Y[r:r + 1], ls[r:r + 1], sig[r:r + 1], cfg, adaptive)
                  for r in range(1000)]
         for m in (1, 2, 3, 17, 1000):
-            theta, change = est._lasso_rows(X, Y[:m], ls[:m], sig[:m], cfg, adaptive)
+            theta = est._lasso_rows(X, Y[:m], ls[:m], sig[:m], cfg, adaptive)
             for r in range(m):
-                assert np.array_equal(theta[r], alone[r][0][0]), (m, r)
-                assert change[r] == alone[r][1][0]
+                assert np.array_equal(theta[r], alone[r][0]), (m, r)
 
     def test_public_solvers_are_a_batch_of_one(self):
         X, Y, ls, sig = self.problem(5)
         cfg = est.LassoConfig.constant(0.4)
         for solver, adaptive in ((est.lasso, False), (est.adaptive_lasso, True)):
-            theta, _ = est._lasso_rows(X, Y, ls, sig, cfg, adaptive)
+            theta = est._lasso_rows(X, Y, ls, sig, cfg, adaptive)
             for r in range(5):
                 alone = solver(est.RegressionData(X, Y[r]), cfg, sig[r])
                 assert np.array_equal(alone, theta[r])
-
-    def test_failed_rows_keep_last_iterate(self):
-        X, Y, ls, sig = self.problem(6)
-        Y[1::2] = 0.0  # least squares 0 is already the lasso solution
-        ls[1::2] = 0.0
-        cfg = est.LassoConfig.constant(0.4, max_sweeps=1, tol=1e-15)
-        theta, change = est._lasso_rows(X, Y, ls, sig, cfg, adaptive=False)
-        failed = change > cfg.tol
-        assert np.array_equal(failed, np.arange(6) % 2 == 0)
-        for r in range(6):
-            data = est.RegressionData(X, Y[r])
-            if failed[r]:
-                with pytest.raises(est.NonConvergenceError) as exc:
-                    est.lasso(data, cfg, sig[r])
-                assert np.array_equal(exc.value.iterate, theta[r])
-                assert exc.value.max_change == change[r]
-            else:
-                assert np.all(theta[r] == 0.0)
-                assert np.array_equal(est.lasso(data, cfg, sig[r]), theta[r])
 
     @pytest.mark.parametrize("adaptive", [False, True])
     @pytest.mark.parametrize("design", [est.DesignSpec("II", 8, 4, c=2.0),
@@ -300,34 +299,51 @@ class TestBatchedSolver:
     def test_kkt_conditions(self, design, adaptive):
         X, Y, ls, sig = self.problem(1000, design)
         cfg = est.LassoConfig.eta_xi_inverse(0.7)
-        theta, change = est._lasso_rows(X, Y, ls, sig, cfg, adaptive)
-        assert np.all(change <= cfg.tol)
-        eta_prime = cfg.penalties(X)
-        if adaptive:
-            t = 8 * sig[:, None] ** 2 * eta_prime ** 2 / np.abs(ls)
-        else:
-            t = 8 * sig[:, None] * eta_prime
+        theta = est._lasso_rows(X, Y, ls, sig, cfg, adaptive)
+        t = lasso_thresholds(X, ls, sig, cfg, adaptive)
         xty = Y @ X
         grad = xty - theta @ (X.T @ X)
-        bound = 1e-9 * np.abs(xty).max()
+        bound = 1e-12 * np.abs(xty).max()
         support = theta != 0.0
         assert support.any() and not support.all()
         assert np.all(np.abs(grad - t * np.sign(theta))[support] <= bound)
         assert np.all((np.abs(grad) - t)[~support] <= bound)
 
     @pytest.mark.parametrize("adaptive", [False, True])
-    def test_sweep_budget_on_ill_conditioned_design(self, adaptive):
-        # plain cyclic descent needs up to 1024 sweeps on this design
-        X, Y, ls, sig = self.problem(1000)
-        cfg = est.LassoConfig.eta_xi_inverse(0.7, max_sweeps=128, tol=1e-12)
-        _, change = est._lasso_rows(X, Y, ls, sig, cfg, adaptive)
-        assert np.all(change <= cfg.tol)
+    @pytest.mark.parametrize("design", [est.DesignSpec("II", 8, 4, c=2.0),
+                                        est.DesignSpec("I", 8, 4, rho=0.9)])
+    def test_against_pattern_enumeration(self, design, adaptive):
+        # brute force: of all 3^4 (support, sign) patterns, each row keeps the
+        # one whose KKT solution violates its conditions least
+        X, Y, ls, sig = self.problem(1000, design)
+        cfg = est.LassoConfig.eta_xi_inverse(0.7)
+        t = lasso_thresholds(X, ls, sig, cfg, adaptive)
+        gram, xty = X.T @ X, Y @ X
+        best, worst = np.zeros_like(xty), np.full(len(Y), np.inf)
+        for pattern in itertools.product((-1.0, 0.0, 1.0), repeat=4):
+            s = np.array(pattern)
+            on = s != 0.0
+            cand = np.zeros_like(xty)
+            if on.any():
+                cand[:, on] = np.linalg.solve(gram[np.ix_(on, on)],
+                                              (xty[:, on] - t[:, on] * s[on]).T).T
+            grad = xty - cand @ gram
+            violation = np.maximum(np.max(-s * cand, axis=1, where=on, initial=0.0),
+                                   np.max(np.abs(grad) - t, axis=1, where=~on, initial=0.0))
+            better = violation < worst
+            best[better], worst[better] = cand[better], violation[better]
+        theta = est._lasso_rows(X, Y, ls, sig, cfg, adaptive)
+        assert np.array_equal(theta == 0.0, best == 0.0)
+        assert np.max(np.abs(theta - best)) <= 1e-12
 
     def test_exact_zeros_stay_exact(self):
         X, Y, ls, sig = self.problem(200)
-        theta, _ = est._lasso_rows(X, Y, ls, sig, est.LassoConfig.eta_xi_inverse(0.7), False)
+        Y[1::2] = 0.0  # least squares 0 is already the lasso solution
+        ls[1::2] = 0.0
+        theta = est._lasso_rows(X, Y, ls, sig, est.LassoConfig.eta_xi_inverse(0.7), False)
+        assert np.all(theta[1::2] == 0.0)
         zeros = theta == 0.0
-        assert zeros.any() and not zeros.all()
+        assert zeros[::2].any() and not zeros[::2].all()
         assert not np.any(np.signbit(theta[zeros]))
 
 
