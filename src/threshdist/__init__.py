@@ -26,7 +26,7 @@ from .limits import (RegimeNotCoveredError, RegimeParams, limit_distribution,
                      uniform_rate)
 from .simulate import (SimConfig, SimResult, default_eta, empirical_mixed_cdf,
                        ks_distance, reproduce_figures, run_study,
-                       sample_component)
+                       sample_component, write_study)
 from .special import (QuadratureError, chi_square_tail, integrate_rho,
                       noncentral_t_cdf, normal_cdf, normal_pdf,
                       normal_quantile, rho_average, rho_density)

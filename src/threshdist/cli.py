@@ -64,11 +64,7 @@ def _emit(rows: list[dict], fmt: str, out: str | None) -> None:
 def _resolve_eta(args, n: int) -> float:
     if args.eta is not None and args.eta_rule is not None:
         raise ValueError("give either --eta or --eta-rule, not both")
-    if args.eta is not None:
-        return args.eta
-    if args.eta_rule in (None, "default"):
-        return default_eta(n)
-    raise ValueError(f"unknown eta rule {args.eta_rule!r}")
+    return default_eta(n) if args.eta is None else args.eta
 
 
 def _resolve_alpha(text: str | None, n: int, xi: float, eta: float) -> float:
@@ -84,7 +80,11 @@ def _mode_from_args(args) -> fd.VarianceMode:
         return fd.VarianceMode.known_sigma()
     if args.dof is None:
         raise ValueError("--mode unknown requires --dof")
-    return fd.VarianceMode.unknown_sigma(int(args.dof))
+    # selprob reads --dof as a float so that --limit can take inf
+    dof = args.dof
+    if isinstance(dof, float) and dof.is_integer():
+        dof = int(dof)
+    return fd.VarianceMode.unknown_sigma(dof)
 
 
 def _spec_from_args(args) -> fd.ComponentSpec:
@@ -186,48 +186,15 @@ def _cmd_design(args) -> int:
     return EXIT_OK
 
 
-def _write_result_files(result: mc.SimResult, prefix: str) -> None:
-    mids = 0.5 * (result.hist_edges[:-1] + result.hist_edges[1:])
-    k = result.config.design.k
-    for i in range(k):
-        mix = result.overlay[i]
-        density = mix.ac_density(mids)
-        with open(f"{prefix}_comp{i + 1}.csv", "w", encoding="utf-8") as fh:
-            fh.write("bin_left,bin_right,hist_height,x,overlay_ac_density,"
-                     "overlay_atom_location,overlay_atom_weight,zero_proportion\n")
-            for j, x in enumerate(mids):
-                row = (result.hist_edges[j], result.hist_edges[j + 1],
-                       result.hist_heights[i, j], x, density[j],
-                       mix.atom_location, mix.atom_weight, result.zero_proportion[i])
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    meta = {
-        "estimator": result.config.estimator,
-        "feasible": result.config.feasible,
-        "n": result.config.design.n,
-        "k": k,
-        "eta": result.config.eta_value(),
-        "reps": result.config.reps,
-        "seed": result.config.seed,
-        "xi": [float(v) for v in result.xi],
-        "zero_proportion": [float(v) for v in result.zero_proportion],
-        "outlier_count": [int(v) for v in result.outlier_count],
-        "solver_failures": 0,
-    }
-    with open(f"{prefix}_meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _cmd_simulate(args) -> int:
     design = _design_from_args(args)
     theta = tuple(float(t) for t in args.theta.split(","))
-    eta = None if args.eta is None and args.eta_rule in (None, "default") else _resolve_eta(args, design.n)
     config = mc.SimConfig(design=design, theta=theta, sigma=args.sigma,
                           estimator=args.estimator, feasible=not args.infeasible,
-                          eta=eta, reps=args.reps, seed=args.seed)
+                          eta=_resolve_eta(args, design.n), reps=args.reps, seed=args.seed)
     result = mc.run_study(config)
     if args.out:
-        _write_result_files(result, args.out)
+        mc.write_study(result, args.out)
     else:
         rows = [{"component": i + 1,
                  "zero_proportion": float(result.zero_proportion[i]),
@@ -269,6 +236,14 @@ def _add_regime_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=_ext_float)
     p.add_argument("--r-prime", type=_ext_float)
     p.add_argument("--w", type=_ext_float)
+
+
+def _add_design_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--variant", choices=["I", "II"], required=True)
+    p.add_argument("--rho", type=float)
+    p.add_argument("--c", type=float)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -317,20 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_rate)
 
     p = sub.add_parser("design", help="emit a benchmark design matrix and metadata")
-    p.add_argument("--variant", choices=["I", "II"], required=True)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    _add_design_flags(p)
     _add_output_flags(p)
     p.set_defaults(fn=_cmd_design)
 
     p = sub.add_parser("simulate", help="run a seeded simulation study")
-    p.add_argument("--variant", choices=["I", "II"], required=True)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    _add_design_flags(p)
     p.add_argument("--theta", required=True, help="comma-separated true coefficients")
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--eta", type=float)
@@ -369,7 +336,7 @@ def main(argv=None) -> int:
     except (sf.QuadratureError, NonConvergenceError) as exc:
         _error(str(exc), EXIT_NUMERIC)
         return EXIT_NUMERIC
-    except (ValueError, SingularDesignError) as exc:
+    except (ValueError, SingularDesignError, OSError) as exc:
         _error(str(exc), EXIT_USAGE)
         return EXIT_USAGE
 

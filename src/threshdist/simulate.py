@@ -45,6 +45,7 @@ __all__ = [
     "empirical_mixed_cdf",
     "ks_distance",
     "PANELS",
+    "write_study",
     "reproduce_figures",
 ]
 
@@ -307,18 +308,30 @@ hist_height                density height; heights * bin width sum to the
                            proportion of nonzero outcomes
 x                          bin midpoint, the overlay evaluation point
 overlay_ac_density         absolutely continuous density of the matching
-                           thresholding law with estimated variance (the
-                           residual degrees of freedom of the panel)
+                           thresholding law, with the study's variance:
+                           estimated (n - k residual degrees of freedom) if
+                           feasible, else known
 overlay_known_ac_density   same with known variance
 overlay_atom_location      atom location of the overlay (constant column)
-overlay_atom_weight        atom weight, estimated-variance law (constant)
+overlay_atom_weight        atom weight of the overlay law (constant)
 overlay_known_atom_weight  atom weight, known-variance law (constant)
 zero_proportion            empirical proportion of exact zeros (constant)
 
-One metadata JSON sidecar per panel records the design, its condition
-number, xi values, seed, replication count, eta and outlier counts.  Its
-solver_failures is always 0: the lasso solver is exact, so it either solves
-every replication or aborts the study with exit code 3.
+Metadata JSON sidecar keys, one sidecar per study:
+
+estimator          simulated estimator
+feasible           true if the error variance is estimated
+design             variant, n, k, rho and c of the design
+condition_number   condition number of X'X
+xi                 xi value of each component
+theta, sigma       true coefficients and error standard deviation
+eta                tuning parameter
+reps, seed         replication count and seed
+zero_proportion    empirical proportion of exact zeros per component
+outlier_count      nonzero outcomes outside the histogram range per component
+solver_failures    always 0: the lasso solver is exact, so it either solves
+                   every replication or aborts the study with exit code 3
+panel              panel name; only in `threshdist reproduce` output
 """
 
 
@@ -330,6 +343,60 @@ def _panel_name(index: int, estimator: str, design: DesignSpec) -> str:
     return f"fig{index:02d}_{estimator.replace('-', '_')}_{tag}"
 
 
+def write_study(result: SimResult, prefix: str, **meta) -> list[str]:
+    """Write a study as ``<prefix>_comp<i>.csv`` per component plus
+    ``<prefix>_meta.json``, in the layout of ``SCHEMA.txt``; returns the paths.
+
+    Keyword arguments are added to the metadata sidecar.
+    """
+    config = result.config
+    design = config.design
+    known_overlay = _overlay(replace(config, feasible=False), result.xi)
+    mids = 0.5 * (result.hist_edges[:-1] + result.hist_edges[1:])
+    paths = []
+    for i, (mix, known) in enumerate(zip(result.overlay, known_overlay)):
+        density = mix.ac_density(mids)
+        known_density = known.ac_density(mids)
+        path = f"{prefix}_comp{i + 1}.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("bin_left,bin_right,hist_height,x,overlay_ac_density,"
+                     "overlay_known_ac_density,overlay_atom_location,"
+                     "overlay_atom_weight,overlay_known_atom_weight,"
+                     "zero_proportion\n")
+            for j, x in enumerate(mids):
+                row = (result.hist_edges[j], result.hist_edges[j + 1],
+                       result.hist_heights[i, j], x, density[j], known_density[j],
+                       mix.atom_location, mix.atom_weight, known.atom_weight,
+                       result.zero_proportion[i])
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        paths.append(path)
+
+    X = make_design(design)
+    sidecar = {
+        "estimator": config.estimator,
+        "feasible": config.feasible,
+        "design": {"variant": design.variant, "n": design.n, "k": design.k,
+                   "rho": design.rho, "c": design.c},
+        "condition_number": float(np.linalg.cond(X.T @ X)),
+        "xi": [float(v) for v in result.xi],
+        "theta": list(config.theta),
+        "sigma": float(config.sigma),
+        "eta": config.eta_value(),
+        "reps": config.reps,
+        "seed": config.seed,
+        "zero_proportion": [float(v) for v in result.zero_proportion],
+        "outlier_count": [int(v) for v in result.outlier_count],
+        "solver_failures": 0,
+        **meta,
+    }
+    meta_path = f"{prefix}_meta.json"
+    with open(meta_path, "w", encoding="utf-8") as fh:
+        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    paths.append(meta_path)
+    return paths
+
+
 def reproduce_figures(out_dir: str, seed: int, reps: int = 10_000) -> list[str]:
     """Write the data behind all twelve benchmark panels; returns the paths.
 
@@ -337,63 +404,14 @@ def reproduce_figures(out_dir: str, seed: int, reps: int = 10_000) -> list[str]:
     reruns with the same seed.
     """
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
     schema_path = os.path.join(out_dir, "SCHEMA.txt")
     with open(schema_path, "w", encoding="utf-8") as fh:
         fh.write(_SCHEMA)
-    paths.append(schema_path)
-
+    paths = [schema_path]
     for index, (estimator, design) in enumerate(PANELS, start=1):
         config = SimConfig(design=design, theta=PANEL_THETA, sigma=PANEL_SIGMA,
                            estimator=estimator, feasible=True, reps=reps,
                            seed=seed + index)
-        result = run_study(config)
         name = _panel_name(index, estimator, design)
-        X = make_design(design)
-        cond = float(np.linalg.cond(X.T @ X))
-        eta = config.eta_value()
-
-        known_overlay = _overlay(replace(config, feasible=False), result.xi)
-
-        mids = 0.5 * (result.hist_edges[:-1] + result.hist_edges[1:])
-        for i in range(design.k):
-            mix = result.overlay[i]
-            known = known_overlay[i]
-            density = mix.ac_density(mids)
-            known_density = known.ac_density(mids)
-            path = os.path.join(out_dir, f"{name}_comp{i + 1}.csv")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("bin_left,bin_right,hist_height,x,overlay_ac_density,"
-                         "overlay_known_ac_density,overlay_atom_location,"
-                         "overlay_atom_weight,overlay_known_atom_weight,"
-                         "zero_proportion\n")
-                for j, x in enumerate(mids):
-                    row = (result.hist_edges[j], result.hist_edges[j + 1],
-                           result.hist_heights[i, j], x, density[j], known_density[j],
-                           mix.atom_location, mix.atom_weight, known.atom_weight,
-                           result.zero_proportion[i])
-                    fh.write(",".join(repr(float(v)) for v in row) + "\n")
-            paths.append(path)
-
-        meta = {
-            "panel": name,
-            "estimator": estimator,
-            "design": {"variant": design.variant, "n": design.n, "k": design.k,
-                       "rho": design.rho, "c": design.c},
-            "condition_number": cond,
-            "xi": [float(v) for v in result.xi],
-            "theta": list(config.theta),
-            "sigma": PANEL_SIGMA,
-            "eta": eta,
-            "reps": reps,
-            "seed": config.seed,
-            "zero_proportion": [float(v) for v in result.zero_proportion],
-            "outlier_count": [int(v) for v in result.outlier_count],
-            "solver_failures": 0,
-        }
-        meta_path = os.path.join(out_dir, f"{name}_meta.json")
-        with open(meta_path, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        paths.append(meta_path)
+        paths += write_study(run_study(config), os.path.join(out_dir, name), panel=name)
     return paths

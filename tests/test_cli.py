@@ -38,6 +38,13 @@ class TestSelprob:
         assert code == 2
         assert "dof" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("dof", ["inf", "2.5"])
+    def test_non_integral_dof_exit_code(self, capsys, dof):
+        code, out, err = run_cli(capsys, "selprob", "--n", "8", "--mode", "unknown",
+                                 "--dof", dof, "--eta-rule", "default")
+        assert code == 2 and out == ""
+        assert json.loads(err)["exit_code"] == 2
+
     def test_limiting_value(self, capsys):
         code, out, _ = run_cli(capsys, "selprob", "--limit", "--mode", "unknown",
                                "--e", "inf", "--zeta", "1", "--dof", "4",
@@ -201,16 +208,31 @@ class TestSimulate:
         assert code == 2
 
     def test_file_outputs(self, capsys, tmp_path):
-        prefix = tmp_path / "study"
-        code, _, _ = run_cli(capsys, "simulate", "--variant", "II", "--c", "0.2",
-                             "--n", "8", "--k", "4", "--theta", "3,1.5,0,0",
-                             "--estimator", "lasso", "--reps", "200", "--seed", "3",
-                             "--out", str(prefix))
-        assert code == 0
-        assert (tmp_path / "study_comp1.csv").exists()
+        argv = ["simulate", "--variant", "II", "--c", "0.2", "--n", "8", "--k", "4",
+                "--theta", "3,1.5,0,0", "--estimator", "lasso", "--reps", "200",
+                "--seed", "3"]
+        assert run_cli(capsys, *argv, "--out", str(tmp_path / "study"))[0] == 0
+        assert run_cli(capsys, *argv, "--infeasible", "--out", str(tmp_path / "known"))[0] == 0
         meta = json.loads((tmp_path / "study_meta.json").read_text())
-        assert meta["estimator"] == "lasso"
+        assert meta["estimator"] == "lasso" and meta["feasible"] is True
         assert meta["solver_failures"] == 0
+
+        # the layout of a reproduce panel, whose sidecar adds only its name
+        assert run_cli(capsys, "reproduce", "--out", str(tmp_path / "panels"),
+                       "--seed", "3", "--reps", "20")[0] == 0
+        panel = tmp_path / "panels" / "fig10_lasso_designII_c0.2"
+        header = (tmp_path / "study_comp1.csv").read_text().splitlines()[0]
+        assert header == panel.with_name(panel.name + "_comp1.csv").read_text().splitlines()[0]
+        panel_meta = json.loads(panel.with_name(panel.name + "_meta.json").read_text())
+        assert set(meta) == set(panel_meta) - {"panel"}
+
+        # with known variance the overlay is the known-variance law
+        for i in range(1, 5):
+            rows = parse_csv((tmp_path / f"known_comp{i}.csv").read_text())
+            assert len(rows) == mc.HIST_BINS
+            for row in rows:
+                assert row["overlay_ac_density"] == row["overlay_known_ac_density"]
+                assert row["overlay_atom_weight"] == row["overlay_known_atom_weight"]
 
 
 class TestReproduce:
@@ -262,6 +284,12 @@ class TestUsageErrors:
     ], ids=["rate-xi-nan", "rate-eta-nan", "simulate-sigma-nan", "simulate-sigma-inf"])
     def test_non_finite_input(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["exit_code"] == 2
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "dist", "--kind", "soft", "--n", "8",
+                                 "--out", str(tmp_path / "missing" / "x.csv"))
         assert code == 2 and out == ""
         assert json.loads(err)["exit_code"] == 2
 
