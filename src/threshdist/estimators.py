@@ -235,11 +235,11 @@ class LassoConfig:
         return vec
 
 
-def _lasso_rows(X: np.ndarray, Y: np.ndarray, theta_ls: np.ndarray, sigma_hat: np.ndarray,
+def _lasso_rows(X: np.ndarray, xty: np.ndarray, theta_ls: np.ndarray, sigma_hat: np.ndarray,
                 config: LassoConfig, adaptive: bool) -> np.ndarray:
-    """Lasso (adaptive lasso if ``adaptive``) of each row of ``Y`` on X, exactly,
+    """Lasso (adaptive lasso if ``adaptive``) of each response Y on X, exactly,
     by the homotopy of Osborne, Presnell and Turlach (2000) from the
-    least-squares fits ``theta_ls``.
+    least-squares fits ``theta_ls``; row ``r`` of ``xty`` is X'Y of response ``r``.
 
     With G = X'X and thresholds t, the path runs in a penalty scale tau from
     0 to 1 with thresholds tau * t.  At tau = 0 the solution is ``theta_ls``,
@@ -274,8 +274,6 @@ def _lasso_rows(X: np.ndarray, Y: np.ndarray, theta_ls: np.ndarray, sigma_hat: n
         t = np.broadcast_to(n * sigma_hat * eta_prime, theta_ls.shape)
     gram = X.T @ X
     g = gram.tolist()
-    # einsum rather than BLAS keeps each row's X'Y independent of the batch
-    xty = np.einsum("rn,nk->rk", Y, X)
     sign = np.sign(theta_ls)
     tau = np.zeros(len(xty))
     rows = np.arange(len(xty))
@@ -312,7 +310,9 @@ def _lasso_rows(X: np.ndarray, Y: np.ndarray, theta_ls: np.ndarray, sigma_hat: n
 
 def _solve_one(data: RegressionData, config: LassoConfig, sigma_hat: float, adaptive: bool):
     theta_ls, _ = least_squares(data)
-    return _lasso_rows(data.X, data.Y[None, :], theta_ls[None, :],
+    # einsum rather than BLAS keeps each row's X'Y independent of the batch
+    xty = np.einsum("rn,nk->rk", data.Y[None, :], data.X)
+    return _lasso_rows(data.X, xty, theta_ls[None, :],
                        np.array([float(sigma_hat)]), config, adaptive)[0]
 
 

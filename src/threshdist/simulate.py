@@ -5,9 +5,15 @@ draws from ``Philox(key=(s, r))``, so its noise is bit-identical however the
 replications are scheduled or chunked.  A study builds one ``Philox`` and
 re-keys it for each replication, with the counter and buffer of a fresh one,
 and draws straight into the response rows: the same streams, bit for bit,
-as a new generator per replication.  Each replication's estimate is also
-bit-identical whatever the replication count, as every later step works row
-by row in a fixed order.
+as a new generator per replication.
+
+A study streams its replications through one block of about
+``STREAM_ELEMENTS`` response values: each block of rows is drawn, fitted and
+reduced to its least-squares fits, residual scales and X'Y before the next
+block reuses the buffer, so a study holds O(reps * k) memory, not a
+``(reps, n)`` response matrix.  The ``(seed, replication)`` streams and each
+replication's results are bit-identical whatever the block size and the
+replication count, as every step works row by row in a fixed order.
 
 The study simulates responses from a fixed design, computes one of the
 five estimators (hard / soft / adaptive soft thresholding, lasso, adaptive
@@ -51,6 +57,10 @@ __all__ = [
 
 ESTIMATORS = (HARD, SOFT, ADAPTIVE, "lasso", "adaptive-lasso")
 
+#: response values per block of replications, which bounds the (rows, n)
+#: buffers of a study; the results do not depend on it
+STREAM_ELEMENTS = 1 << 17
+
 HIST_RANGE = (-6.0, 6.0)
 HIST_BINS = 60
 
@@ -92,6 +102,9 @@ class SimConfig:
         if not (isinstance(self.reps, numbers.Integral) and self.reps >= 1):
             raise ValueError(f"reps must be a positive integer, got {self.reps!r}")
         object.__setattr__(self, "reps", int(self.reps))
+        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2 ** 64):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if self.feasible and self.design.n <= self.design.k:
             raise ValueError("feasible estimators need n > k residual degrees of freedom")
 
@@ -177,32 +190,44 @@ def run_study(config: SimConfig) -> SimResult:
     theta = np.asarray(config.theta)
     eta = config.eta_value()
     reps = config.reps
+    lasso = config.estimator not in KINDS
 
-    # the noise is drawn straight into the response rows, then scaled and
-    # shifted in place: the same bits as mean + sigma * noise
-    Y = _fill_noise(np.empty((reps, n)), config.seed)
-    Y *= config.sigma
-    Y += X @ theta
-
-    # one least-squares product for all replications; einsum, unlike BLAS,
-    # keeps each row independent of the batch shape
+    # the replications stream through one block of response rows; einsum,
+    # unlike BLAS, keeps each row independent of the batch shape, so every
+    # row's results are the same bits whatever the block
+    mean = X @ theta
     gram_inv = np.linalg.inv(X.T @ X)
     proj = gram_inv @ X.T                       # (k, n)
-    theta_ls = np.einsum("rn,kn->rk", Y, proj)  # (reps, k)
-    if config.feasible:
-        # fitted values, turned into residuals in place
-        resid = np.einsum("rk,kn->rn", theta_ls, X.T.copy())
-        np.subtract(Y, resid, out=resid)
-        scale = np.sqrt(np.einsum("ij,ij->i", resid, resid) / (n - k))
-    else:
-        scale = np.full(reps, config.sigma)
+    xt = X.T.copy()
+    rows = min(reps, max(1, STREAM_ELEMENTS // n))
+    Y = np.empty((rows, n))
+    resid = np.empty((rows, n))
+    theta_ls = np.empty((reps, k))
+    scale = np.empty(reps) if config.feasible else np.full(reps, config.sigma)
+    xty = np.empty((reps, k)) if lasso else None
+    for lo in range(0, reps, rows):
+        hi = min(lo + rows, reps)
+        # the noise is drawn straight into the response rows, then scaled and
+        # shifted in place: the same bits as mean + sigma * noise
+        y = _fill_noise(Y[:hi - lo], config.seed, lo)
+        y *= config.sigma
+        y += mean
+        np.einsum("rn,kn->rk", y, proj, out=theta_ls[lo:hi])
+        if config.feasible:
+            # fitted values, turned into residuals in place
+            r = np.einsum("rk,kn->rn", theta_ls[lo:hi], xt, out=resid[:hi - lo])
+            np.subtract(y, r, out=r)
+            scale[lo:hi] = np.sqrt(np.einsum("ij,ij->i", r, r) / (n - k))
+        if lasso:
+            np.einsum("rn,nk->rk", y, X, out=xty[lo:hi])
+
     if config.estimator in KINDS:
         estimates = threshold_estimate(config.estimator, theta_ls,
                                        scale[:, None], xi[None, :], eta)
     else:
         adaptive = config.estimator == "adaptive-lasso"
         cfg = LassoConfig.constant(eta) if adaptive else LassoConfig.eta_xi_inverse(eta)
-        estimates = _lasso_rows(X, Y, theta_ls, scale, cfg, adaptive)
+        estimates = _lasso_rows(X, xty, theta_ls, scale, cfg, adaptive)
 
     scaled = math.sqrt(n) / config.sigma * (estimates - theta[None, :]) / xi[None, :]
     zero_mask = estimates == 0.0
@@ -403,6 +428,10 @@ def reproduce_figures(out_dir: str, seed: int, reps: int = 10_000) -> list[str]:
     Panel ``i`` uses seed ``seed + i``.  Outputs are bit-identical across
     reruns with the same seed.
     """
+    # checked before anything is written: every panel seed must be valid
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed + 1 and seed + len(PANELS) < 2 ** 64):
+        raise ValueError(f"panel seeds seed + 1 to seed + {len(PANELS)} must lie in "
+                         f"[0, 2**64), got seed {seed!r}")
     os.makedirs(out_dir, exist_ok=True)
     schema_path = os.path.join(out_dir, "SCHEMA.txt")
     with open(schema_path, "w", encoding="utf-8") as fh:

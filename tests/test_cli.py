@@ -287,6 +287,21 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert json.loads(err)["exit_code"] == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_out_of_range_seed(self, capsys, seed):
+        code, out, err = run_cli(capsys, *SIMULATE[:-1], seed)
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["exit_code"] == 2 and "seed" in error["error"]
+
+    def test_reproduce_checks_every_panel_seed_before_writing(self, capsys, tmp_path):
+        # the last panel's seed would overflow 2**64
+        code, out, err = run_cli(capsys, "reproduce", "--out", str(tmp_path / "panels"),
+                                 "--seed", str(2 ** 64 - 6), "--reps", "10")
+        assert code == 2 and out == ""
+        assert json.loads(err)["exit_code"] == 2
+        assert not (tmp_path / "panels").exists()
+
     def test_unwritable_out(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "dist", "--kind", "soft", "--n", "8",
                                  "--out", str(tmp_path / "missing" / "x.csv"))

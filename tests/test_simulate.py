@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,22 @@ class TestDeterminism:
                                              feasible=True, reps=m))
             assert np.array_equal(part.scaled_samples, full.scaled_samples[:m]), m
 
+    @pytest.mark.parametrize("n", [8, 404])
+    @pytest.mark.parametrize("feasible", [True, False])
+    @pytest.mark.parametrize("estimator", mc.ESTIMATORS)
+    def test_results_independent_of_block_size(self, monkeypatch, estimator, feasible, n):
+        # blocks of 1, 7 and 97 rows; 97 does not divide the replication count
+        design = est.DesignSpec("I", n, 4, rho=0.5)
+        theta = tuple(t / math.sqrt(n / 8) for t in THETA)
+        config = small_config(design=design, theta=theta, estimator=estimator,
+                              feasible=feasible, reps=1000)
+        want = mc.run_study(config)
+        for rows in (1, 7, 97):
+            monkeypatch.setattr(mc, "STREAM_ELEMENTS", rows * n)
+            got = mc.run_study(config)
+            for field in ("scaled_samples", "zero_proportion", "hist_heights", "outlier_count"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), (rows, field)
+
 
 class TestRunStudy:
     def test_histogram_mass_accounting(self):
@@ -123,6 +140,23 @@ class TestRunStudy:
         res = mc.run_study(small_config(reps=10))
         spec = fd.ComponentSpec(8, 1.0, 0.0, 1.0, mc.default_eta(8))
         assert abs(res.overlay[2].atom_weight - fd.deletion_probability(spec)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", fd.KINDS)
+    def test_memory_bounded_by_one_block(self, kind):
+        # one (reps, n) array of this study would take 65 MB; a study keeps
+        # (reps, k) arrays and one block of response rows
+        n = 404
+        design = est.DesignSpec("I", n, 4, rho=0.5)
+        theta = tuple(np.array([2.0, 0.7, 0.0, -0.6]) / math.sqrt(n))
+        config = small_config(design=design, theta=theta, estimator=kind, feasible=True,
+                              reps=20_000)
+        tracemalloc.start()
+        try:
+            mc.run_study(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     def test_zero_events_identical_across_kinds(self):
         # all three thresholding rules share the same deletion event: a zero
