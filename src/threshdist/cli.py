@@ -31,6 +31,9 @@ EXIT_REGIME = 4
 GRID_POINTS = 601
 GRID_RANGE = (-6.0, 6.0)
 
+# one compact line of strict JSON; an indent would select the pure-Python encoder
+_JSON = json.JSONEncoder(allow_nan=False)
+
 
 def _ext_float(text: str) -> float:
     """Float arguments accepting inf / -inf spellings."""
@@ -40,10 +43,11 @@ def _ext_float(text: str) -> float:
     return val
 
 
-def _emit(rows: list[dict], fmt: str, out: str | None) -> None:
-    """Write rows either as CSV (full-precision repr) or as a JSON list."""
+def _emit(rows, fmt: str, out: str | None) -> None:
+    """Write rows, a list of dicts, as CSV (full-precision repr), or any
+    JSON value as one line of strict JSON."""
     if fmt == "json":
-        text = json.dumps(rows, indent=2) + "\n"
+        text = _JSON.encode(rows) + "\n"
     else:
         if not rows:
             text = ""
@@ -105,9 +109,10 @@ def _cmd_dist(args) -> int:
     mode = _mode_from_args(args)
     mix = fd.as_mixture(args.kind, mode, spec)
     grid = _grid(mix)
-    rows = [{"x": float(x), "cdf": float(c), "ac_density": float(d),
-             "atom_location": mix.atom_location, "atom_weight": mix.atom_weight}
-            for x, c, d in zip(grid, mix.cdf(grid), mix.ac_density(grid))]
+    loc, weight = mix.atom_location, mix.atom_weight
+    rows = [{"x": x, "cdf": c, "ac_density": d, "atom_location": loc, "atom_weight": weight}
+            for x, c, d in zip(grid.tolist(), mix.cdf(grid).tolist(),
+                               mix.ac_density(grid).tolist())]
     _emit(rows, args.format, args.out)
     return EXIT_OK
 
@@ -142,9 +147,11 @@ def _cmd_limit(args) -> int:
     # the fixed-dof families average their atom weight afresh on every read
     loc, weight = family.atom_location, family.atom_weight
     grid = _grid(family)
-    rows = [{"family": meta["family"], "x": float(x), "cdf": float(c),
-             "atom_location": loc if loc is not None else math.nan, "atom_weight": weight}
-            for x, c in zip(grid, family.cdf(grid))]
+    if loc is None and args.format == "csv":
+        loc = math.nan  # a law without an atom: nan in CSV, null in JSON
+    rows = [{"family": meta["family"], "x": x, "cdf": c,
+             "atom_location": loc, "atom_weight": weight}
+            for x, c in zip(grid.tolist(), family.cdf(grid).tolist())]
     _emit(rows, args.format, args.out)
     return EXIT_OK
 
@@ -173,12 +180,12 @@ def _cmd_design(args) -> int:
         est.write_matrix(args.out, X)
     meta = {"variant": spec.variant, "n": spec.n, "k": spec.k, "rho": spec.rho,
             "c": spec.c, "condition_number": cond,
-            "xi": [float(v) for v in xi],
+            "xi": xi.tolist(),
             "matrix_file": args.out}
     if args.format == "json":
         if not args.out:
-            meta["matrix"] = [[float(v) for v in row] for row in X]
-        sys.stdout.write(json.dumps(meta, indent=2) + "\n")
+            meta["matrix"] = X.tolist()
+        _emit(meta, "json", None)
     else:
         rows = [{"key": k, "value": v} for k, v in meta.items() if k not in ("xi", "matrix")]
         rows += [{"key": f"xi_{i + 1}", "value": float(v)} for i, v in enumerate(xi)]

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .distributions import HARD, SOFT, _check_kind
 
@@ -82,7 +81,8 @@ def make_design(spec: DesignSpec) -> np.ndarray:
     """
     n, k = spec.n, spec.k
     if spec.variant == "I":
-        omega = linalg.toeplitz(spec.rho ** np.arange(k))
+        i = np.arange(k)
+        omega = (spec.rho ** i)[np.abs(i[:, None] - i)]
         # upper factor R with R'R = Omega, so that X'X = n * Omega exactly
         R = np.linalg.cholesky(omega).T
         return np.tile(math.sqrt(k) * R, (n // k, 1))

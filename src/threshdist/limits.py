@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln, xlogy
 
 from . import special as sf
@@ -465,6 +464,7 @@ def tv_distance(a: LimitDistribution, b: LimitDistribution, tol: float = 1e-6,
     pts = sorted({a.atom_location, *breakpoints})
     lo, hi = window
     pts = [p for p in pts if lo < p < hi]
+    from scipy import integrate  # on first use, as in special.integrate_rho
     val, err = integrate.quad(lambda x: abs(a.ac_density(x) - b.ac_density(x)),
                               lo, hi, epsabs=0.5 * tol, epsrel=1e-9,
                               limit=400, points=pts or None)

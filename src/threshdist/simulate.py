@@ -428,19 +428,16 @@ def reproduce_figures(out_dir: str, seed: int, reps: int = 10_000) -> list[str]:
     Panel ``i`` uses seed ``seed + i``.  Outputs are bit-identical across
     reruns with the same seed.
     """
-    # checked before anything is written: every panel seed must be valid
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed + 1 and seed + len(PANELS) < 2 ** 64):
-        raise ValueError(f"panel seeds seed + 1 to seed + {len(PANELS)} must lie in "
-                         f"[0, 2**64), got seed {seed!r}")
+    # every panel's config, its seed included, is checked before anything is written
+    configs = [SimConfig(design=design, theta=PANEL_THETA, sigma=PANEL_SIGMA,
+                         estimator=estimator, feasible=True, reps=reps, seed=seed + index)
+               for index, (estimator, design) in enumerate(PANELS, start=1)]
     os.makedirs(out_dir, exist_ok=True)
     schema_path = os.path.join(out_dir, "SCHEMA.txt")
     with open(schema_path, "w", encoding="utf-8") as fh:
         fh.write(_SCHEMA)
     paths = [schema_path]
-    for index, (estimator, design) in enumerate(PANELS, start=1):
-        config = SimConfig(design=design, theta=PANEL_THETA, sigma=PANEL_SIGMA,
-                           estimator=estimator, feasible=True, reps=reps,
-                           seed=seed + index)
-        name = _panel_name(index, estimator, design)
+    for index, config in enumerate(configs, start=1):
+        name = _panel_name(index, config.estimator, config.design)
         paths += write_study(run_study(config), os.path.join(out_dir, name), panel=name)
     return paths

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 __all__ = [
     "QuadratureError",
@@ -181,6 +181,9 @@ def integrate_rho(m: int, f: Callable[[float], float], tol: float = DEFAULT_TOL,
     def integrand(s: float) -> float:
         return f(s) * _rho_scalar(m, s, logc)
 
+    # imported on first use: scipy.integrate also loads scipy.optimize and
+    # scipy.linalg, which no other path of the package needs
+    from scipy import integrate
     res = integrate.quad(integrand, lo, hi, epsabs=0.5 * tol, epsrel=1e-12,
                          limit=300, points=pts, full_output=1)
     value, abserr = res[0], res[1]

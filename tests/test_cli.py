@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -22,6 +26,13 @@ def run_cli(capsys, *argv):
 
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def strict_json(text):
+    """Parse ``text`` as JSON, refusing NaN and the infinities."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestSelprob:
@@ -161,8 +172,9 @@ class TestDesign:
     def test_condition_number_metadata(self, capsys):
         code, out, _ = run_cli(capsys, "design", "--variant", "II", "--c", "2",
                                "--n", "8", "--k", "4", "--format", "json")
-        assert code == 0
-        meta = json.loads(out)
+        assert code == 0 and out.count("\n") == 1
+        meta = strict_json(out)
+        assert meta["rho"] is None
         assert round(meta["condition_number"]) == 81
         assert len(meta["xi"]) == 4
         assert len(meta["matrix"]) == 8
@@ -302,6 +314,13 @@ class TestUsageErrors:
         assert json.loads(err)["exit_code"] == 2
         assert not (tmp_path / "panels").exists()
 
+    def test_reproduce_checks_every_panel_config_before_writing(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "reproduce", "--out", str(tmp_path / "panels"),
+                                 "--seed", "1", "--reps", "0")
+        assert code == 2 and out == ""
+        assert "reps" in json.loads(err)["error"]
+        assert not (tmp_path / "panels").exists()
+
     def test_unwritable_out(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "dist", "--kind", "soft", "--n", "8",
                                  "--out", str(tmp_path / "missing" / "x.csv"))
@@ -311,3 +330,63 @@ class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         assert run_cli(capsys, "rate", "--n", "4", "--xi", "1", "--eta", "1",
                        "--bogus", "2")[0] == 2
+
+
+class TestJsonOutput:
+    # the JSON writer changes only the whitespace: the rows equal the CSV rows
+    COMMANDS = {
+        **{f"dist-{kind}-{mode[1] if mode else 'known'}":
+           ["dist", "--kind", kind, *mode, "--n", "8", "--theta", "0.7", "--eta-rule", "default"]
+           for kind in fd.KINDS for mode in ([], ["--mode", "unknown", "--dof", "3"])},
+        "limit-two-point": ["limit", "--kind", "hard", "--mode", "unknown", "--e", "inf",
+                            "--zeta", "1", "--dof", "4"],
+        "limit-oracle-hard": ["limit", "--kind", "hard", "--oracle", "--zeta", "2"],
+        "limit-soft-nu-inf": ["limit", "--kind", "soft", "--e", "1", "--nu", "inf"],
+        "selprob": ["selprob", "--theta", "0.4", "--n", "8", "--mode", "unknown", "--dof", "4",
+                    "--eta-rule", "default"],
+        "rate": ["rate", "--n", "100", "--xi", "1", "--eta", "0.5"],
+        "simulate": SIMULATE,
+    }
+
+    @pytest.mark.parametrize("argv", list(COMMANDS.values()), ids=list(COMMANDS))
+    def test_json_rows_equal_csv_rows(self, capsys, argv):
+        code, text, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert text.count("\n") == 1  # one compact line
+        rows = strict_json(text)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        csv_rows = parse_csv(out)
+        assert [list(row) for row in rows] == [list(row) for row in csv_rows]
+        for row, csv_row in zip(rows, csv_rows):
+            for key, value in row.items():
+                cell = csv_row[key]
+                if value is None:  # a law without an atom
+                    assert key == "atom_location" and math.isnan(float(cell))
+                elif isinstance(value, str):
+                    assert cell == value
+                else:
+                    assert type(value)(cell) == value
+
+
+def test_import_loads_numpy_and_scipy_special_only():
+    # QUADPACK (scipy.integrate, which loads scipy.optimize and scipy.linalg)
+    # is imported on first use, and scipy.stats only by selfcheck
+    script = textwrap.dedent("""
+        import sys
+        import threshdist, threshdist.cli
+        print(sorted({"scipy.integrate", "scipy.linalg", "scipy.optimize",
+                      "scipy.stats"} & set(sys.modules)))
+        from scipy.special import nctdtr
+        from threshdist import limits, special
+        print(abs(special.noncentral_t_cdf(4, 0.5, 1.0) - nctdtr(4, 0.5, 1.0)))
+        print(limits.tv_distance(limits.PointMass(0.0), limits.ExcisedNormal(0.0, 0.0),
+                                 window=(-12.0, 12.0)))
+    """)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, check=True)
+    loaded, nct_error, tv = result.stdout.splitlines()
+    assert loaded == "[]"
+    assert float(nct_error) <= 1e-9
+    assert abs(float(tv) - 2.0) <= 1e-6
