@@ -28,7 +28,7 @@ from .simulate import (SimConfig, SimResult, default_eta, empirical_mixed_cdf,
                        ks_distance, reproduce_figures, run_study,
                        sample_component, write_study)
 from .special import (QuadratureError, chi_square_tail, integrate_rho,
-                      noncentral_t_cdf, normal_cdf, normal_pdf,
-                      normal_quantile, rho_average, rho_density)
+                      normal_cdf, normal_pdf, normal_quantile, rho_average,
+                      rho_density)
 
 __version__ = "0.1.0"

@@ -44,8 +44,9 @@ def _ext_float(text: str) -> float:
 
 
 def _emit(rows, fmt: str, out: str | None) -> None:
-    """Write rows, a list of dicts, as CSV (full-precision repr), or any
-    JSON value as one line of strict JSON."""
+    """Write rows, a list of dicts, as CSV (full-precision repr, and ``nan``
+    for an absent value, None), or any JSON value as one line of strict
+    JSON (``null`` for None)."""
     if fmt == "json":
         text = _JSON.encode(rows) + "\n"
     else:
@@ -56,7 +57,8 @@ def _emit(rows, fmt: str, out: str | None) -> None:
             lines = [",".join(cols)]
             for row in rows:
                 lines.append(",".join(
-                    repr(v) if isinstance(v, float) else str(v) for v in (row[c] for c in cols)))
+                    "nan" if v is None else repr(v) if isinstance(v, float) else str(v)
+                    for v in (row[c] for c in cols)))
             text = "\n".join(lines) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -147,8 +149,6 @@ def _cmd_limit(args) -> int:
     # the fixed-dof families average their atom weight afresh on every read
     loc, weight = family.atom_location, family.atom_weight
     grid = _grid(family)
-    if loc is None and args.format == "csv":
-        loc = math.nan  # a law without an atom: nan in CSV, null in JSON
     rows = [{"family": meta["family"], "x": x, "cdf": c,
              "atom_location": loc, "atom_weight": weight}
             for x, c in zip(grid.tolist(), family.cdf(grid).tolist())]

@@ -62,6 +62,10 @@ __all__ = [
 ]
 
 DIVERGING = math.inf
+#: absolute tolerance of the L1 integral in :func:`tv_distance`
+TV_TOL = 1e-6
+#: times a panel of that integral may be bisected
+TV_MAX_BISECTIONS = 40
 
 
 class RegimeNotCoveredError(ValueError):
@@ -451,25 +455,34 @@ def uniform_rate(n: int, xi: float, eta: float) -> float:
     return min(math.sqrt(n) / xi, 1.0 / (xi * eta))
 
 
-def tv_distance(a: LimitDistribution, b: LimitDistribution, tol: float = 1e-6,
+def tv_distance(a: LimitDistribution, b: LimitDistribution,
                 window: tuple[float, float] = (-60.0, 60.0),
                 breakpoints: tuple[float, ...] = ()) -> float:
     """|atom-weight difference| plus the L1 distance of the ac densities.
 
     Both mixtures must share the atom location.  The L1 integral runs over
-    ``window``, so the caller must pick it wide enough for both densities.
+    ``window``, so the caller must pick it wide enough for both densities,
+    and pass in ``breakpoints`` the points where either density jumps.  Its
+    panels are cut at the window, the atom and the breakpoints, and both
+    densities are evaluated at the nodes of :func:`special.paired_rules` on
+    all panels at once.  A panel is kept where its two rules agree to
+    TV_TOL * width / (window width), and bisected otherwise, up to
+    TV_MAX_BISECTIONS times before :class:`special.QuadratureError`.
     """
     if not math.isclose(a.atom_location, b.atom_location, rel_tol=0.0, abs_tol=1e-12):
         raise ValueError("total-variation comparison needs a common atom location")
-    pts = sorted({a.atom_location, *breakpoints})
     lo, hi = window
-    pts = [p for p in pts if lo < p < hi]
-    from scipy import integrate  # on first use, as in special.integrate_rho
-    val, err = integrate.quad(lambda x: abs(a.ac_density(x) - b.ac_density(x)),
-                              lo, hi, epsabs=0.5 * tol, epsrel=1e-9,
-                              limit=400, points=pts or None)
-    if err > tol:
-        raise sf.QuadratureError(
-            f"L1 quadrature failed (achieved error {err:.3e} > {tol:.3e})",
-            estimate=val, error=err)
-    return abs(a.atom_weight - b.atom_weight) + val
+    edges = np.array([lo, *sorted(p for p in {a.atom_location, *breakpoints} if lo < p < hi), hi])
+    left, right = edges[:-1], edges[1:]
+    total = 0.0
+    for _ in range(TV_MAX_BISECTIONS + 1):
+        coarse, fine = sf.paired_rules(lambda x: np.abs(a.ac_density(x) - b.ac_density(x)),
+                                       np.stack([left, right], axis=1))
+        ok = np.abs(coarse - fine) <= TV_TOL * (right - left) / (hi - lo)
+        total += fine[ok].sum()
+        mid = 0.5 * (left + right)[~ok]
+        left, right = np.concatenate([left[~ok], mid]), np.concatenate([mid, right[~ok]])
+        if not left.size:
+            return abs(a.atom_weight - b.atom_weight) + float(total)
+    raise sf.QuadratureError(
+        f"L1 quadrature failed on {left.size} panels after {TV_MAX_BISECTIONS} bisections")

@@ -1,26 +1,26 @@
-"""Normal, chi and non-central t routines plus weighted quadrature.
+"""Normal, chi and rho routines plus weighted quadrature.
 
 Extended reals are represented by plain floats: ``math.inf`` and
 ``-math.inf`` are legal wherever a limit convention exists, with
-``normal_cdf(inf) = 1``, ``normal_cdf(-inf) = 0`` and the same convention
-for the non-central t cdf.
+``normal_cdf(inf) = 1`` and ``normal_cdf(-inf) = 0``.
 
 ``rho_density(m, s)`` is the density of ``sqrt(chi2_m / m)``, the law of a
 residual standard-deviation estimate divided by the true standard deviation
 at ``m`` residual degrees of freedom.  Every smoothing integral in this
 package is an expectation against this density.  :func:`rho_average`
-evaluates one for a whole array of points at once with a composite
-Gauss-Legendre rule, checks each point against the rule with twice the
-nodes, and sends the points that miss the tolerance to
-:func:`integrate_rho` (adaptive QUADPACK), which also serves as the
-independent oracle in the checks.
+evaluates one for a whole array of points at once with the paired
+Gauss-Legendre rules of :func:`paired_rules`, and bisects every panel of a
+point whose two rules disagree until they agree.  The same pair of rules
+computes ``limits.tv_distance``, so every law the package computes comes
+from one engine.  :func:`integrate_rho` (adaptive QUADPACK) is the
+independent oracle of the checks only.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy import special
@@ -35,8 +35,8 @@ __all__ = [
     "rho_cdf",
     "rho_quantile",
     "rho_support",
-    "noncentral_t_cdf",
     "integrate_rho",
+    "paired_rules",
     "rho_average",
 ]
 
@@ -55,6 +55,8 @@ GRADING_RATIO = 0.2
 GRADING_LEVELS = 11
 #: (point x node) elements evaluated at once, which bounds the temporaries
 BLOCK_ELEMENTS = 1 << 13
+#: times every panel of a point that misses the tolerance is bisected
+MAX_BISECTIONS = 8
 
 
 class QuadratureError(RuntimeError):
@@ -171,46 +173,23 @@ def integrate_rho(m: int, f: Callable[[float], float], tol: float = DEFAULT_TOL,
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     lo, hi = rho_support(m)
-    pts: Sequence[float] | None = None
-    if breakpoints is not None:
-        pts = sorted(float(b) for b in breakpoints if lo < b < hi)
-        if not pts:
-            pts = None
+    pts = sorted(float(b) for b in breakpoints or () if lo < b < hi)
     logc = _rho_log_const(m)
 
     def integrand(s: float) -> float:
         return f(s) * _rho_scalar(m, s, logc)
 
-    # imported on first use: scipy.integrate also loads scipy.optimize and
-    # scipy.linalg, which no other path of the package needs
+    # imported on first use: scipy.integrate also loads scipy.optimize, and
+    # only the checks' oracles need it
     from scipy import integrate
-    res = integrate.quad(integrand, lo, hi, epsabs=0.5 * tol, epsrel=1e-12,
-                         limit=300, points=pts, full_output=1)
-    value, abserr = res[0], res[1]
+    value, abserr = integrate.quad(integrand, lo, hi, epsabs=0.5 * tol, epsrel=1e-12,
+                                   limit=300, points=pts or None, full_output=1)[:2]
     # a roundoff warning with an in-tolerance error estimate is acceptable
     if abserr > tol:
         raise QuadratureError(
             f"rho-weighted quadrature failed (m={m}, achieved error {abserr:.3e} > {tol:.3e})",
             estimate=value, error=abserr)
     return value
-
-
-def noncentral_t_cdf(m: int, c: float, x: float, tol: float = DEFAULT_TOL) -> float:
-    """Cdf of the non-central t with m dof and non-centrality c, at x.
-
-    Evaluated through the smoothing identity
-    ``T_{m,c}(x) = integral Phi(x*s - c) rho_m(s) ds``; the conventions
-    ``T(+inf) = 1`` and ``T(-inf) = 0`` apply.
-    """
-    m = _check_dof(m)
-    c = float(c)
-    if not math.isfinite(c):
-        raise ValueError(f"non-centrality must be finite, got {c!r}")
-    x = float(x)
-    if math.isinf(x):
-        return 1.0 if x > 0 else 0.0
-    val = integrate_rho(m, lambda s: float(special.ndtr(x * s - c)), tol=tol)
-    return min(1.0, max(0.0, val))
 
 
 @lru_cache(maxsize=None)
@@ -225,19 +204,43 @@ def _paired_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rule
 
 
+def paired_rules(f: Callable, edges: np.ndarray, splits: int = 1,
+                 weight: Callable | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The integral of weight(s) * f(s) over each row of panels, by the
+    Gauss-Legendre rules with RULE_NODES and 2 * RULE_NODES nodes per panel.
+
+    Row i of the 2-d ``edges`` holds the sorted edges of its panels, each
+    cut into ``splits`` equal parts.  ``f`` is called once, with the nodes
+    of both rules on row i in row i of its argument, and must return values
+    of the same shape; ``weight`` (one when omitted) must be elementwise.
+    Returns the two rules' integrals, one per row; a row's values do not
+    depend on the other rows.
+    """
+    t, w1, w2 = _paired_rule(RULE_NODES)
+    rows = edges.shape[0]
+    width = np.diff(edges, axis=1)[:, :, None, None] / splits
+    s = edges[:, :-1, None, None] + width * (np.arange(splits)[:, None] + t)
+    weighted = width * weight(s) if weight is not None else width
+    weighted = weighted * f(s.reshape(rows, -1)).reshape(s.shape)
+    # row by row sums, so that a row's value does not depend on the batch
+    return ((weighted[..., :RULE_NODES] * w1).reshape(rows, -1).sum(axis=1),
+            (weighted[..., RULE_NODES:] * w2).reshape(rows, -1).sum(axis=1))
+
+
 def rho_average(m: int, f: Callable, x, breakpoints) -> np.ndarray:
     """E f(x_i, S), S ~ rho_m, at every point x_i, each to absolute tolerance
     DEFAULT_TOL.
 
     ``f(x, s)`` must broadcast: it is called with ``x`` of shape (p, 1) and
-    ``s`` of shape (p, q), and with two scalars.  Row i of ``breakpoints``
+    ``s`` of shape (p, q).  Row i of ``breakpoints``
     lists the points in s where ``f(x_i, .)`` jumps or turns sharply; the
     panels of point i are graded geometrically toward each of them from
     both sides.  Each point takes the rule with 2 * RULE_NODES nodes per
-    panel; where it differs from the RULE_NODES rule by more than the
-    tolerance, the point is recomputed by :func:`integrate_rho` with the
-    same breakpoints.  Points are evaluated in blocks of about
-    BLOCK_ELEMENTS nodes.
+    panel of :func:`paired_rules`.  Where it differs from the RULE_NODES
+    rule by more than the tolerance, every panel of the point is bisected
+    and the point evaluated again, up to MAX_BISECTIONS times; a point
+    still open then raises :class:`QuadratureError`.  Points are evaluated
+    in blocks of about BLOCK_ELEMENTS nodes.
     """
     m = _check_dof(m)
     x = np.asarray(x, dtype=float).ravel()
@@ -248,24 +251,27 @@ def rho_average(m: int, f: Callable, x, breakpoints) -> np.ndarray:
     base = np.linspace(lo, hi, BASE_PANELS + 1)
     steps = (hi - lo) / BASE_PANELS * GRADING_RATIO ** np.arange(1, GRADING_LEVELS + 1)
     offsets = np.concatenate([-steps[::-1], [0.0], steps])
-    t, w1, w2 = _paired_rule(RULE_NODES)
+    edges = np.concatenate([np.broadcast_to(base, (x.size, base.size)),
+                            (brk[:, :, None] + offsets).reshape(x.size, -1)], axis=1)
+    edges = np.sort(np.clip(edges, lo, hi), axis=1)
     # log rho_m(s) = logc + (m - 1) log s - m s^2 / 2
     logc = _rho_log_const(m) + (0.5 * m - 1.0) * math.log(m)
-    block = max(1, BLOCK_ELEMENTS // ((BASE_PANELS + brk.shape[1] * offsets.size) * t.size))
+
+    def weight(s):
+        return np.exp(logc + (m - 1.0) * np.log(s) - 0.5 * m * s * s)
+
     coarse, out = np.empty(x.size), np.empty(x.size)
-    for start in range(0, x.size, block):
-        part = slice(start, start + block)
-        rows = x[part].size
-        edges = np.concatenate([np.broadcast_to(base, (rows, base.size)),
-                                (brk[part, :, None] + offsets).reshape(rows, -1)], axis=1)
-        edges = np.sort(np.clip(edges, lo, hi), axis=1)
-        width = np.diff(edges, axis=1)[:, :, None]
-        s = edges[:, :-1, None] + width * t
-        weighted = width * np.exp(logc + (m - 1.0) * np.log(s) - 0.5 * m * s * s)
-        weighted *= f(x[part, None], s.reshape(rows, -1)).reshape(s.shape)
-        # row by row sums, so that a point's value does not depend on the batch
-        coarse[part] = (weighted[:, :, :RULE_NODES] * w1).reshape(rows, -1).sum(axis=1)
-        out[part] = (weighted[:, :, RULE_NODES:] * w2).reshape(rows, -1).sum(axis=1)
-    for i in np.flatnonzero(~(np.abs(coarse - out) <= DEFAULT_TOL)):
-        out[i] = integrate_rho(m, lambda s, xi=x[i]: float(f(xi, s)), breakpoints=brk[i])
-    return out
+    todo = np.arange(x.size)
+    for depth in range(MAX_BISECTIONS + 1):
+        block = max(1, BLOCK_ELEMENTS // (((edges.shape[1] - 1) << depth) * 3 * RULE_NODES))
+        for start in range(0, todo.size, block):
+            part = todo[start:start + block]
+            coarse[part], out[part] = paired_rules(lambda s, xp=x[part, None]: f(xp, s),
+                                                   edges[part], 1 << depth, weight)
+        todo = todo[~(np.abs(coarse[todo] - out[todo]) <= DEFAULT_TOL)]
+        if not todo.size:
+            return out
+    gap = np.abs(coarse - out)[todo].max()
+    raise QuadratureError(f"rho-weighted quadrature failed at {todo.size} of {x.size} points "
+                          f"after {MAX_BISECTIONS} bisections (m={m}, worst gap between the "
+                          f"two rules {gap:.3e} > {DEFAULT_TOL:.3e})", error=float(gap))

@@ -179,6 +179,16 @@ class TestDesign:
         assert len(meta["xi"]) == 4
         assert len(meta["matrix"]) == 8
 
+    def test_csv_spells_an_absent_parameter_nan(self, capsys):
+        code, out, _ = run_cli(capsys, "design", "--variant", "II", "--c", "2",
+                               "--n", "8", "--k", "4")
+        assert code == 0
+        meta = {row["key"]: row["value"] for row in parse_csv(out)}
+        assert meta["variant"] == "II" and float(meta["c"]) == 2.0
+        assert meta["rho"] == meta["matrix_file"] == "nan"
+        assert round(float(meta["condition_number"])) == 81
+        assert [k for k in meta if k.startswith("xi_")] == ["xi_1", "xi_2", "xi_3", "xi_4"]
+
     def test_matrix_file_output(self, capsys, tmp_path):
         path = tmp_path / "X.txt"
         code, out, _ = run_cli(capsys, "design", "--variant", "I", "--rho", "0.3",
@@ -371,22 +381,35 @@ class TestJsonOutput:
 
 def test_import_loads_numpy_and_scipy_special_only():
     # QUADPACK (scipy.integrate, which loads scipy.optimize and scipy.linalg)
-    # is imported on first use, and scipy.stats only by selfcheck
+    # is imported only by the checks' oracles, and scipy.stats only by
+    # selfcheck: no law, limit law or total-variation distance needs them
     script = textwrap.dedent("""
         import sys
+        import numpy as np
         import threshdist, threshdist.cli
-        print(sorted({"scipy.integrate", "scipy.linalg", "scipy.optimize",
-                      "scipy.stats"} & set(sys.modules)))
-        from scipy.special import nctdtr
-        from threshdist import limits, special
-        print(abs(special.noncentral_t_cdf(4, 0.5, 1.0) - nctdtr(4, 0.5, 1.0)))
-        print(limits.tv_distance(limits.PointMass(0.0), limits.ExcisedNormal(0.0, 0.0),
-                                 window=(-12.0, 12.0)))
+        from threshdist import distributions as fd, limits as lm
+        heavy = {"scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.stats"}
+        print(sorted(heavy & set(sys.modules)))
+        x = np.linspace(-6.0, 6.0, 41)
+        spec = fd.ComponentSpec(8, 1.0, 0.5, 1.0, 0.6)
+        needle = fd.ComponentSpec(10_000, 1.0, 0.4, 1.0, 0.5)  # sqrt(n) * eta = 50
+        regime = lm.RegimeParams(e=1.5, nu=0.3, dof=4)
+        for kind in fd.KINDS:
+            for m in (1, 4):
+                mix = fd.as_mixture(kind, fd.VarianceMode(m), spec)
+                mix.cdf(x), mix.ac_density(x), mix.atom_weight
+            fd.cdf(kind, fd.VarianceMode(1), needle, x)
+            law = lm.limit_distribution(kind, "unknown", regime)
+            law.cdf(x), law.ac_density(x), law.atom_weight
+        print(lm.tv_distance(lm.PointMass(0.0), lm.ExcisedNormal(0.0, 0.0),
+                             window=(-12.0, 12.0)))
+        # scipy.special.roots_legendre, which gives the rules' nodes, loads
+        # scipy.linalg
+        print(sorted(heavy - {"scipy.linalg"} & set(sys.modules)))
     """)
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True, check=True)
-    loaded, nct_error, tv = result.stdout.splitlines()
-    assert loaded == "[]"
-    assert float(nct_error) <= 1e-9
+    loaded, tv, loaded_after = result.stdout.splitlines()
+    assert loaded == loaded_after == "[]"
     assert abs(float(tv) - 2.0) <= 1e-6

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
+from threshdist import cli
 from threshdist import distributions as fd
 from threshdist import simulate as mc
 from threshdist import special as sf
@@ -335,26 +337,94 @@ class TestSmoothedLaws:
                 want = [quadpack(law, kind, m, spec, float(v)) for v in x]
                 assert np.max(np.abs(got - want)) <= 1e-10, (law.__name__, m)
 
-    def test_points_that_miss_the_tolerance_fall_back(self, monkeypatch):
-        calls = []
-        quad = sf.integrate_rho
-
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return quad(*args, **kwargs)
-
-        # one node per panel against two cannot agree to 1e-10
-        monkeypatch.setattr(sf, "RULE_NODES", 1)
-        monkeypatch.setattr(sf, "integrate_rho", counted)
+    def test_points_that_miss_the_tolerance_are_bisected(self, monkeypatch):
+        # four nodes per panel against eight miss 1e-10 at level 0 on every
+        # point; bisection, not QUADPACK, brings each point in
         spec = spec8(1.5)
+        x = np.linspace(-3.0, 3.0, 7)
+        laws = [(kind, law) for kind in fd.KINDS for law in (fd.cdf, fd.ac_density)]
+        want = {(kind, law): [quadpack(law, kind, 4, spec, float(v)) for v in x]
+                for kind, law in laws}
+        splits = []
+        paired = sf.paired_rules
+
+        def counted(f, edges, n=1, weight=None):
+            splits.extend([n] * edges.shape[0])
+            return paired(f, edges, n, weight)
+
+        def no_quadpack(*args, **kwargs):
+            raise AssertionError("rho_average called QUADPACK")
+
+        monkeypatch.setattr(sf, "RULE_NODES", 4)
+        monkeypatch.setattr(sf, "paired_rules", counted)
+        monkeypatch.setattr(sf, "integrate_rho", no_quadpack)
+        for kind, law in laws:
+            del splits[:]
+            got = law(kind, M4, spec, x)
+            assert splits.count(2) == x.size
+            assert np.max(np.abs(got - want[kind, law])) <= 1e-10
+
+    def test_points_open_at_the_depth_cap_raise(self, monkeypatch, capsys):
+        # one node per panel against two cannot agree to 1e-10 within
+        # MAX_BISECTIONS bisections
+        monkeypatch.setattr(sf, "RULE_NODES", 1)
         x = np.linspace(-3.0, 3.0, 7)
         for kind in fd.KINDS:
             for law in (fd.cdf, fd.ac_density):
-                del calls[:]
-                got = law(kind, M4, spec, x)
-                assert calls == [4] * x.size
-                want = [quadpack(law, kind, 4, spec, float(v)) for v in x]
-                assert np.max(np.abs(got - want)) <= 1e-10
+                with pytest.raises(sf.QuadratureError) as exc:
+                    law(kind, M4, spec8(1.5), x)
+                assert exc.value.error > sf.DEFAULT_TOL
+        assert cli.main(["dist", "--kind", "hard", "--n", "8", "--mode", "unknown",
+                         "--dof", "4"]) == cli.EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        report = json.loads(err)
+        assert report["exit_code"] == cli.EXIT_NUMERIC
+        assert "bisections" in report["error"]
+
+    @pytest.mark.parametrize("kind,m,z", [
+        (fd.HARD, 1, -3.0), (fd.HARD, 1, 0.5), (fd.HARD, 4, -6.0), (fd.HARD, 4, -3.0),
+        (fd.SOFT, 1, -1.0), (fd.SOFT, 1, 0.0),
+    ])
+    def test_needle_points_against_mpmath(self, kind, m, z, monkeypatch):
+        # b = sqrt(n) * eta = 50 and shift 40; with alpha = sqrt(n) / xi the
+        # point x is its own standardized point.  The known-variance cdf at
+        # threshold s*b, written out here in mpmath, is averaged over
+        # s ~ rho_m by mpmath's tanh-sinh quadrature, an oracle that shares
+        # nothing with the package's quadrature
+        import mpmath
+
+        spec = fd.ComponentSpec(10_000, 1.0, 0.4, 1.0, 0.5)
+        nu, b = 40.0, 50.0
+        side = 1.0 if z + nu >= 0.0 else -1.0
+
+        def known(s):
+            if kind == fd.SOFT:
+                return mpmath.ncdf(z + side * s * b)
+            return mpmath.ncdf(z) if abs(z + nu) > s * b else mpmath.ncdf(-nu + side * s * b)
+
+        def rho(s):
+            return (2 * mpmath.power(m / 2.0, m / 2.0) * mpmath.power(s, m - 1)
+                    * mpmath.exp(-m * s * s / 2) / mpmath.gamma(m / 2.0))
+
+        # subdivide at the jump or bend |z + nu| / b and across the needles
+        # of width 1 / b around nu / b and |z| / b
+        cuts = {abs(z + nu) / b, 1.0, 3.0}
+        cuts |= {max(0.0, c + k / b) for c in (nu / b, abs(z) / b) for k in (-6, -3, -1, 1, 3, 6)}
+        with mpmath.workdps(20):
+            want = float(mpmath.quad(lambda s: known(s) * rho(s),
+                                     [0.0, *sorted(cuts), mpmath.inf]))
+        splits = []
+        paired = sf.paired_rules
+
+        def counted(f, edges, n=1, weight=None):
+            splits.append(n)
+            return paired(f, edges, n, weight)
+
+        monkeypatch.setattr(sf, "paired_rules", counted)
+        got = fd.cdf(kind, fd.VarianceMode(m), spec, z)
+        assert max(splits) > 1  # the point needs bisection
+        assert abs(got - want) <= 1e-10
 
     @pytest.mark.parametrize("mode", [fd.KNOWN, M4], ids=["known", "m4"])
     def test_scalar_and_array_agree(self, mode):

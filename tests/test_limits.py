@@ -353,6 +353,17 @@ class TestTvDistance:
         a, b = lm.PointMass(0.0), lm.ExcisedNormal(0.0, 0.0)
         assert abs(lm.tv_distance(a, b, window=(-12.0, 12.0)) - 2.0) <= 1e-6
 
+    def test_kink_off_every_breakpoint(self):
+        # the soft law at (nu, e) against N(0, 1) with an empty atom at -nu:
+        # right of the atom the densities phi(x + e) and phi(x) cross at
+        # -e/2, a kink of |f_a - f_b| that no panel edge is placed on.  The
+        # distance is w + integral |f_a - f_b| = 2 (2 Phi(e/2) - 1 + Phi(-nu) - Phi(-nu - e))
+        nu, e = 1.0, 0.8
+        a, b = lm.SoftShiftNormal(nu, e), lm.ExcisedNormal(nu, 0.0)
+        phi = stats.norm.cdf
+        want = 2.0 * (2.0 * phi(e / 2.0) - 1.0 + phi(-nu) - phi(-nu - e))
+        assert abs(lm.tv_distance(a, b, window=(-12.0, 12.0)) - want) <= 1e-9
+
     def test_atom_location_mismatch_rejected(self):
         a, b = lm.PointMass(0.0), lm.PointMass(1.0)
         with pytest.raises(ValueError):
