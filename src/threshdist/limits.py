@@ -64,8 +64,6 @@ __all__ = [
 DIVERGING = math.inf
 #: absolute tolerance of the L1 integral in :func:`tv_distance`
 TV_TOL = 1e-6
-#: times a panel of that integral may be bisected
-TV_MAX_BISECTIONS = 40
 
 
 class RegimeNotCoveredError(ValueError):
@@ -460,29 +458,19 @@ def tv_distance(a: LimitDistribution, b: LimitDistribution,
                 breakpoints: tuple[float, ...] = ()) -> float:
     """|atom-weight difference| plus the L1 distance of the ac densities.
 
-    Both mixtures must share the atom location.  The L1 integral runs over
-    ``window``, so the caller must pick it wide enough for both densities,
-    and pass in ``breakpoints`` the points where either density jumps.  Its
-    panels are cut at the window, the atom and the breakpoints, and both
-    densities are evaluated at the nodes of :func:`special.paired_rules` on
-    all panels at once.  A panel is kept where its two rules agree to
-    TV_TOL * width / (window width), and bisected otherwise, up to
-    TV_MAX_BISECTIONS times before :class:`special.QuadratureError`.
+    Both mixtures must share the atom location, or both have none.  The L1
+    integral runs over ``window``, so the caller must pick it wide enough
+    for both densities, and pass in ``breakpoints`` the points where either
+    density jumps.  Its panels are cut at the window, the atom and the
+    breakpoints, and :func:`special.integrate_panels` integrates them to
+    TV_TOL.
     """
-    if not math.isclose(a.atom_location, b.atom_location, rel_tol=0.0, abs_tol=1e-12):
+    atom, other = a.atom_location, b.atom_location
+    if (atom is None) != (other is None) or atom is not None and not math.isclose(
+            atom, other, rel_tol=0.0, abs_tol=1e-12):
         raise ValueError("total-variation comparison needs a common atom location")
     lo, hi = window
-    edges = np.array([lo, *sorted(p for p in {a.atom_location, *breakpoints} if lo < p < hi), hi])
-    left, right = edges[:-1], edges[1:]
-    total = 0.0
-    for _ in range(TV_MAX_BISECTIONS + 1):
-        coarse, fine = sf.paired_rules(lambda x: np.abs(a.ac_density(x) - b.ac_density(x)),
-                                       np.stack([left, right], axis=1))
-        ok = np.abs(coarse - fine) <= TV_TOL * (right - left) / (hi - lo)
-        total += fine[ok].sum()
-        mid = 0.5 * (left + right)[~ok]
-        left, right = np.concatenate([left[~ok], mid]), np.concatenate([mid, right[~ok]])
-        if not left.size:
-            return abs(a.atom_weight - b.atom_weight) + float(total)
-    raise sf.QuadratureError(
-        f"L1 quadrature failed on {left.size} panels after {TV_MAX_BISECTIONS} bisections")
+    edges = np.array([[lo, *sorted(p for p in {atom, *breakpoints} - {None} if lo < p < hi), hi]])
+    l1 = sf.integrate_panels(lambda _, x: np.abs(a.ac_density(x) - b.ac_density(x)),
+                             edges, TV_TOL)
+    return abs(a.atom_weight - b.atom_weight) + float(l1[0])

@@ -8,12 +8,12 @@ Extended reals are represented by plain floats: ``math.inf`` and
 residual standard-deviation estimate divided by the true standard deviation
 at ``m`` residual degrees of freedom.  Every smoothing integral in this
 package is an expectation against this density.  :func:`rho_average`
-evaluates one for a whole array of points at once with the paired
-Gauss-Legendre rules of :func:`paired_rules`, and bisects every panel of a
-point whose two rules disagree until they agree.  The same pair of rules
-computes ``limits.tv_distance``, so every law the package computes comes
-from one engine.  :func:`integrate_rho` (adaptive QUADPACK) is the
-independent oracle of the checks only.
+evaluates one for a whole array of points at once by
+:func:`integrate_panels`, which runs a pair of Gauss-Legendre rules on every
+panel and bisects the panels where the two disagree until they agree.  The
+same function computes ``limits.tv_distance``, so every law the package
+computes comes from one engine.  :func:`integrate_rho` (adaptive QUADPACK)
+is the independent oracle of the checks only.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ __all__ = [
     "rho_quantile",
     "rho_support",
     "integrate_rho",
-    "paired_rules",
+    "integrate_panels",
     "rho_average",
 ]
 
@@ -48,15 +48,15 @@ SUPPORT_TAIL_MASS = 1e-14
 # width w span the truncated support; around each breakpoint c the edges
 # c +- w * GRADING_RATIO**j, j = 1..GRADING_LEVELS, resolve features down to
 # about 2e-8 * w, such as the adaptive-soft law at one dof next to its atom.
-#: Gauss-Legendre nodes per panel; each point is checked against twice as many
-RULE_NODES = 10
 BASE_PANELS = 6
 GRADING_RATIO = 0.2
 GRADING_LEVELS = 11
-#: (point x node) elements evaluated at once, which bounds the temporaries
+#: Gauss-Legendre nodes per panel; each panel is checked against twice as many
+RULE_NODES = 10
+#: (panel x node) elements evaluated at once, which bounds the temporaries
 BLOCK_ELEMENTS = 1 << 13
-#: times every panel of a point that misses the tolerance is bisected
-MAX_BISECTIONS = 8
+#: times a panel that misses its share of the tolerance may be bisected
+MAX_BISECTIONS = 40
 
 
 class QuadratureError(RuntimeError):
@@ -84,7 +84,8 @@ def normal_pdf(x):
     """Standard normal density (2*pi)**-0.5 * exp(-x**2/2)."""
     if not isinstance(x, float):
         x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    with np.errstate(over="ignore"):  # x * x overflows to inf, and exp(-inf) = 0 is right
+        out = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     return out if np.ndim(out) else float(out)
 
 
@@ -196,35 +197,66 @@ def integrate_rho(m: int, f: Callable[[float], float], tol: float = DEFAULT_TOL,
 def _paired_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes on [0, 1] of the Gauss-Legendre rules with ``nodes`` and
     2 * ``nodes`` points, side by side, and the weights of each; read-only."""
-    t1, w1 = special.roots_legendre(nodes)
-    t2, w2 = special.roots_legendre(2 * nodes)
+    # numpy's rules, not scipy's, which would load scipy.linalg
+    from numpy.polynomial.legendre import leggauss
+    (t1, w1), (t2, w2) = leggauss(nodes), leggauss(2 * nodes)
     rule = (0.5 * (np.concatenate([t1, t2]) + 1.0), 0.5 * w1, 0.5 * w2)
     for a in rule:
         a.flags.writeable = False
     return rule
 
 
-def paired_rules(f: Callable, edges: np.ndarray, splits: int = 1,
-                 weight: Callable | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The integral of weight(s) * f(s) over each row of panels, by the
-    Gauss-Legendre rules with RULE_NODES and 2 * RULE_NODES nodes per panel.
+def integrate_panels(f: Callable, edges: np.ndarray, tol: float,
+                     weight: Callable | None = None) -> np.ndarray:
+    """The integral of weight(s) * f(i, s) over row i of ``edges``, for every
+    row i, each to absolute tolerance ``tol``.
 
-    Row i of the 2-d ``edges`` holds the sorted edges of its panels, each
-    cut into ``splits`` equal parts.  ``f`` is called once, with the nodes
-    of both rules on row i in row i of its argument, and must return values
-    of the same shape; ``weight`` (one when omitted) must be elementwise.
-    Returns the two rules' integrals, one per row; a row's values do not
-    depend on the other rows.
+    Row i of the 2-d ``edges`` holds the sorted edges of its panels.  Every
+    panel is integrated by the Gauss-Legendre rules with RULE_NODES and
+    2 * RULE_NODES nodes.  A panel is kept, with the second rule's value,
+    where the two agree to ``tol`` times its share of its row's span; every
+    other panel is bisected, up to MAX_BISECTIONS times.  A panel still open
+    then raises :class:`QuadratureError`, whose ``error`` is the worst gap
+    between the two rules scaled from its panel to the whole row, which
+    exceeds ``tol``.
+
+    ``f`` is called with the row of each panel in ``i``, of shape (p,), and
+    the nodes of both rules on that panel in the same row of ``s``, of shape
+    (p, 3 * RULE_NODES), and must return values of the shape of ``s``;
+    ``weight`` (one when omitted) must be elementwise.  Panels are evaluated
+    in blocks of about BLOCK_ELEMENTS nodes.  A row's value does not depend
+    on the other rows.
     """
     t, w1, w2 = _paired_rule(RULE_NODES)
     rows = edges.shape[0]
-    width = np.diff(edges, axis=1)[:, :, None, None] / splits
-    s = edges[:, :-1, None, None] + width * (np.arange(splits)[:, None] + t)
-    weighted = width * weight(s) if weight is not None else width
-    weighted = weighted * f(s.reshape(rows, -1)).reshape(s.shape)
-    # row by row sums, so that a row's value does not depend on the batch
-    return ((weighted[..., :RULE_NODES] * w1).reshape(rows, -1).sum(axis=1),
-            (weighted[..., RULE_NODES:] * w2).reshape(rows, -1).sum(axis=1))
+    row = np.repeat(np.arange(rows), edges.shape[1] - 1)
+    left, right = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    span = edges[:, -1] - edges[:, 0]
+    total, chunk = np.zeros(rows), max(1, BLOCK_ELEMENTS // t.size)
+    for _ in range(MAX_BISECTIONS + 1):
+        width = right - left
+        sums = np.empty((2, row.size))
+        for j in range(0, row.size, chunk):
+            part = slice(j, j + chunk)
+            s = left[part, None] + width[part, None] * t
+            weighted = width[part, None] * weight(s) if weight is not None else width[part, None]
+            weighted = weighted * f(row[part], s)
+            sums[:, part] = ((weighted[:, :RULE_NODES] * w1).sum(axis=1),
+                             (weighted[:, RULE_NODES:] * w2).sum(axis=1))
+        # the gap between the two rules, scaled from the panel to its whole row
+        scaled = np.abs(sums[0] - sums[1]) * span[row]
+        ok = scaled <= tol * width
+        # bincount adds a row's panels in their order, whatever the other rows
+        total += np.bincount(row[ok], sums[1, ok], minlength=rows)
+        if np.count_nonzero(ok) == ok.size:
+            return total
+        mid = 0.5 * (left + right)[~ok]
+        left, right = np.stack([left[~ok], mid], 1).ravel(), np.stack([mid, right[~ok]], 1).ravel()
+        row = np.repeat(row[~ok], 2)
+    worst = float(np.max(scaled[~ok] / width[~ok]))
+    raise QuadratureError(f"panel quadrature failed on {np.count_nonzero(~ok)} panels after "
+                          f"{MAX_BISECTIONS} bisections (worst gap between the two rules, scaled "
+                          f"from a panel to its row, {worst:.3e} > {tol:.3e})", error=worst)
 
 
 def rho_average(m: int, f: Callable, x, breakpoints) -> np.ndarray:
@@ -232,15 +264,12 @@ def rho_average(m: int, f: Callable, x, breakpoints) -> np.ndarray:
     DEFAULT_TOL.
 
     ``f(x, s)`` must broadcast: it is called with ``x`` of shape (p, 1) and
-    ``s`` of shape (p, q).  Row i of ``breakpoints``
-    lists the points in s where ``f(x_i, .)`` jumps or turns sharply; the
-    panels of point i are graded geometrically toward each of them from
-    both sides.  Each point takes the rule with 2 * RULE_NODES nodes per
-    panel of :func:`paired_rules`.  Where it differs from the RULE_NODES
-    rule by more than the tolerance, every panel of the point is bisected
-    and the point evaluated again, up to MAX_BISECTIONS times; a point
-    still open then raises :class:`QuadratureError`.  Points are evaluated
-    in blocks of about BLOCK_ELEMENTS nodes.
+    ``s`` of shape (p, q).  Row i of ``breakpoints`` lists the points in s
+    where ``f(x_i, .)`` jumps or turns sharply.  Point i gets its own panels
+    on the truncated support: BASE_PANELS equal ones, plus edges graded
+    geometrically toward each of its breakpoints from both sides.  Those
+    panels are chosen before any error estimate; :func:`integrate_panels`
+    then bisects the ones whose two rules disagree.
     """
     m = _check_dof(m)
     x = np.asarray(x, dtype=float).ravel()
@@ -260,18 +289,4 @@ def rho_average(m: int, f: Callable, x, breakpoints) -> np.ndarray:
     def weight(s):
         return np.exp(logc + (m - 1.0) * np.log(s) - 0.5 * m * s * s)
 
-    coarse, out = np.empty(x.size), np.empty(x.size)
-    todo = np.arange(x.size)
-    for depth in range(MAX_BISECTIONS + 1):
-        block = max(1, BLOCK_ELEMENTS // (((edges.shape[1] - 1) << depth) * 3 * RULE_NODES))
-        for start in range(0, todo.size, block):
-            part = todo[start:start + block]
-            coarse[part], out[part] = paired_rules(lambda s, xp=x[part, None]: f(xp, s),
-                                                   edges[part], 1 << depth, weight)
-        todo = todo[~(np.abs(coarse[todo] - out[todo]) <= DEFAULT_TOL)]
-        if not todo.size:
-            return out
-    gap = np.abs(coarse - out)[todo].max()
-    raise QuadratureError(f"rho-weighted quadrature failed at {todo.size} of {x.size} points "
-                          f"after {MAX_BISECTIONS} bisections (m={m}, worst gap between the "
-                          f"two rules {gap:.3e} > {DEFAULT_TOL:.3e})", error=float(gap))
+    return integrate_panels(lambda i, s: f(x[i, None], s), edges, DEFAULT_TOL, weight)

@@ -305,6 +305,19 @@ def quadpack(law, kind, m, spec, x):
                             tol=1e-12, breakpoints=[bend(kind, spec, x)])
 
 
+def mpmath_average(m, known, cuts):
+    """E known(S), S ~ rho_m, by mpmath's tanh-sinh quadrature split at
+    ``cuts``: an oracle that shares nothing with the package's quadrature."""
+    import mpmath
+
+    def rho(s):
+        return (2 * mpmath.power(m / 2.0, m / 2.0) * mpmath.power(s, m - 1)
+                * mpmath.exp(-m * s * s / 2) / mpmath.gamma(m / 2.0))
+
+    with mpmath.workdps(20):
+        return float(mpmath.quad(lambda s: known(s) * rho(s), [0.0, *sorted(cuts), mpmath.inf]))
+
+
 class TestSmoothedLaws:
     """Unknown-variance laws, whole grids at once, against one QUADPACK
     integral per point at the package's 1e-10 tolerance."""
@@ -338,36 +351,35 @@ class TestSmoothedLaws:
                 assert np.max(np.abs(got - want)) <= 1e-10, (law.__name__, m)
 
     def test_points_that_miss_the_tolerance_are_bisected(self, monkeypatch):
-        # four nodes per panel against eight miss 1e-10 at level 0 on every
+        # four nodes per panel against eight miss 1e-10 on some panel of every
         # point; bisection, not QUADPACK, brings each point in
         spec = spec8(1.5)
         x = np.linspace(-3.0, 3.0, 7)
         laws = [(kind, law) for kind in fd.KINDS for law in (fd.cdf, fd.ac_density)]
         want = {(kind, law): [quadpack(law, kind, 4, spec, float(v)) for v in x]
                 for kind, law in laws}
-        splits = []
-        paired = sf.paired_rules
-
-        def counted(f, edges, n=1, weight=None):
-            splits.extend([n] * edges.shape[0])
-            return paired(f, edges, n, weight)
 
         def no_quadpack(*args, **kwargs):
             raise AssertionError("rho_average called QUADPACK")
 
         monkeypatch.setattr(sf, "RULE_NODES", 4)
-        monkeypatch.setattr(sf, "paired_rules", counted)
         monkeypatch.setattr(sf, "integrate_rho", no_quadpack)
         for kind, law in laws:
-            del splits[:]
+            for v in x:
+                with monkeypatch.context() as patch:
+                    patch.setattr(sf, "MAX_BISECTIONS", 0)
+                    with pytest.raises(sf.QuadratureError):
+                        law(kind, M4, spec, v)
             got = law(kind, M4, spec, x)
-            assert splits.count(2) == x.size
             assert np.max(np.abs(got - want[kind, law])) <= 1e-10
 
     def test_points_open_at_the_depth_cap_raise(self, monkeypatch, capsys):
-        # one node per panel against two cannot agree to 1e-10 within
-        # MAX_BISECTIONS bisections
+        # one node per panel against two cannot agree to 1e-10 within two
+        # bisections.  Every open panel misses tol times its share of the
+        # span, so its gap scaled to the whole span, the reported error,
+        # exceeds tol
         monkeypatch.setattr(sf, "RULE_NODES", 1)
+        monkeypatch.setattr(sf, "MAX_BISECTIONS", 2)
         x = np.linspace(-3.0, 3.0, 7)
         for kind in fd.KINDS:
             for law in (fd.cdf, fd.ac_density):
@@ -389,9 +401,7 @@ class TestSmoothedLaws:
     def test_needle_points_against_mpmath(self, kind, m, z, monkeypatch):
         # b = sqrt(n) * eta = 50 and shift 40; with alpha = sqrt(n) / xi the
         # point x is its own standardized point.  The known-variance cdf at
-        # threshold s*b, written out here in mpmath, is averaged over
-        # s ~ rho_m by mpmath's tanh-sinh quadrature, an oracle that shares
-        # nothing with the package's quadrature
+        # threshold s*b is written out here in mpmath
         import mpmath
 
         spec = fd.ComponentSpec(10_000, 1.0, 0.4, 1.0, 0.5)
@@ -403,28 +413,38 @@ class TestSmoothedLaws:
                 return mpmath.ncdf(z + side * s * b)
             return mpmath.ncdf(z) if abs(z + nu) > s * b else mpmath.ncdf(-nu + side * s * b)
 
-        def rho(s):
-            return (2 * mpmath.power(m / 2.0, m / 2.0) * mpmath.power(s, m - 1)
-                    * mpmath.exp(-m * s * s / 2) / mpmath.gamma(m / 2.0))
-
         # subdivide at the jump or bend |z + nu| / b and across the needles
         # of width 1 / b around nu / b and |z| / b
         cuts = {abs(z + nu) / b, 1.0, 3.0}
         cuts |= {max(0.0, c + k / b) for c in (nu / b, abs(z) / b) for k in (-6, -3, -1, 1, 3, 6)}
-        with mpmath.workdps(20):
-            want = float(mpmath.quad(lambda s: known(s) * rho(s),
-                                     [0.0, *sorted(cuts), mpmath.inf]))
-        splits = []
-        paired = sf.paired_rules
+        want = mpmath_average(m, known, cuts)
+        with monkeypatch.context() as patch:
+            patch.setattr(sf, "MAX_BISECTIONS", 0)
+            with pytest.raises(sf.QuadratureError):  # the point needs bisection
+                fd.cdf(kind, fd.VarianceMode(m), spec, z)
+        assert abs(fd.cdf(kind, fd.VarianceMode(m), spec, z) - want) <= 1e-10
 
-        def counted(f, edges, n=1, weight=None):
-            splits.append(n)
-            return paired(f, edges, n, weight)
+    def test_adaptive_density_next_to_the_atom_against_mpmath(self):
+        # nu = -1.2 and b = sqrt(n) * eta = 3.  1e-9 left of the atom at 1.2,
+        # the dof-1 adaptive density turns at s = |x + nu| / (2 b) = 1.7e-10,
+        # a feature that both rules of a panel miss unless the edges graded
+        # toward that turn resolve it.  The known-variance density at
+        # threshold s*b is written out here in mpmath
+        import mpmath
 
-        monkeypatch.setattr(sf, "paired_rules", counted)
-        got = fd.cdf(kind, fd.VarianceMode(m), spec, z)
-        assert max(splits) > 1  # the point needs bisection
-        assert abs(got - want) <= 1e-10
+        spec = fd.ComponentSpec(100, 1.0, -0.12, 1.0, 0.3)
+        nu, b = -1.2, 3.0
+        x = spec.atom_location - 1e-9  # its own standardized point
+        u = x + nu
+
+        def known(s):
+            half = mpmath.hypot(u / 2.0, s * b)
+            return mpmath.npdf((x - nu) / 2.0 - half) * (1.0 - u / (2.0 * half)) / 2.0
+
+        turn = abs(u) / (2.0 * b)
+        want = mpmath_average(1, known, {0.1 * turn, turn, 10.0 * turn, 1e-6, 1e-3, 1.0, 3.0})
+        assert abs(want - 0.10242829588189685509) <= 1e-16
+        assert abs(fd.ac_density(fd.ADAPTIVE, fd.VarianceMode(1), spec, x) - want) <= 1e-10
 
     @pytest.mark.parametrize("mode", [fd.KNOWN, M4], ids=["known", "m4"])
     def test_scalar_and_array_agree(self, mode):

@@ -368,3 +368,13 @@ class TestTvDistance:
         a, b = lm.PointMass(0.0), lm.PointMass(1.0)
         with pytest.raises(ValueError):
             lm.tv_distance(a, b)
+
+    def test_laws_without_an_atom(self):
+        # N(0, 1) against N(-w, 1): no atom to cut at, and the densities
+        # cross at -w/2, a kink off every panel edge
+        w = 0.1
+        want = 2.0 * (2.0 * stats.norm.cdf(w / 2.0) - 1.0)
+        assert abs(lm.tv_distance(lm.StdNormal(), lm.ShiftedNormal(w)) - want) <= 1e-9
+        for a, b in ((lm.StdNormal(), lm.PointMass(0.0)), (lm.PointMass(0.0), lm.StdNormal())):
+            with pytest.raises(ValueError):
+                lm.tv_distance(a, b)
