@@ -129,8 +129,9 @@ class ComponentSpec:
     alpha: float | None = None
 
     def __post_init__(self):
-        # the quadratures build a spec per node, so an int n and float fields
-        # are kept as given, without the slower abstract-class checks and stores
+        # the QUADPACK oracles of the checks build a spec per node, so an int n
+        # and float fields are kept as given, without the slower abstract-class
+        # checks and stores
         n = self.n
         if type(n) is not int and isinstance(n, numbers.Integral):
             n = int(n)

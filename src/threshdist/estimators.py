@@ -235,30 +235,32 @@ class LassoConfig:
         return vec
 
 
-def _lasso_rows(X: np.ndarray, xty: np.ndarray, theta_ls: np.ndarray, sigma_hat: np.ndarray,
+def _lasso_rows(X: np.ndarray, theta_ls: np.ndarray, sigma_hat: np.ndarray,
                 config: LassoConfig, adaptive: bool) -> np.ndarray:
     """Lasso (adaptive lasso if ``adaptive``) of each response Y on X, exactly,
     by the homotopy of Osborne, Presnell and Turlach (2000) from the
-    least-squares fits ``theta_ls``; row ``r`` of ``xty`` is X'Y of response ``r``.
+    least-squares fits ``theta_ls``, one row per response.
 
-    With G = X'X and thresholds t, the path runs in a penalty scale tau from
-    0 to 1 with thresholds tau * t.  At tau = 0 the solution is ``theta_ls``,
-    so every nonzero coordinate starts active with its sign.  On a support A
-    with signs s the solution is theta_A = u - tau * v, where
-    G_AA u = (X'Y)_A and G_AA v = t_A * s_A, and the gradient X'Y - G theta
-    off A is p + tau * q.  A row's next event is the smallest tau at which an
-    active coordinate reaches 0 (it leaves) or an inactive |gradient| reaches
-    tau * t (it joins with the sign of q).  A crossing counts only in the
-    direction the coordinate moves, so rounding cannot make a coordinate
-    rejoin just after it left.  The row finishes at tau = 1 with
-    theta_A = u - v and exact zeros off A.
+    With G = X'X, ||Y - X theta||^2 = (theta - theta_ls)' G (theta - theta_ls)
+    + RSS, so a row's lasso depends on Y only through X'Y = G theta_ls.  With
+    thresholds t, the path runs in a penalty scale tau from 0 to 1 with
+    thresholds tau * t.  At tau = 0 the solution is ``theta_ls``, so every
+    nonzero coordinate starts active with its sign.  On a support A with
+    signs s the solution is theta_A = u - tau * v, where G_AA u = (X'Y)_A and
+    G_AA v = t_A * s_A, and the gradient X'Y - G theta off A is p + tau * q.
+    A row's next event is the smallest tau at which an active coordinate
+    reaches 0 (it leaves) or an inactive |gradient| reaches tau * t (it joins
+    with the sign of q).  A crossing counts only in the direction the
+    coordinate moves, so rounding cannot make a coordinate rejoin just after
+    it left.  The row finishes at tau = 1 with theta_A = u - v and exact zeros
+    off A.
 
-    Each pass is one stacked LAPACK solve, identity rows standing in for the
-    inactive coordinates, and the gradients are elementwise sums in a fixed
-    order, so a row's result does not depend on the batch.  The exact path
-    visits each of the 3^k (support, sign) patterns at most once, so a row
-    still open after 3^k passes is caught in a rounding cycle and raises
-    :class:`NonConvergenceError`."""
+    Each pass inverts G_AA once for every support A among its open rows,
+    zero-padded to k x k, and applies each row's inverse and G with einsum
+    contractions in a fixed order, so a row's result does not depend on the
+    batch.  The exact path visits each of the 3^k (support, sign) patterns at
+    most once, so a row still open after 3^k passes is caught in a rounding
+    cycle and raises :class:`NonConvergenceError`."""
     bad = ~(np.isfinite(sigma_hat) & (sigma_hat > 0))
     if bad.any():
         raise ValueError(f"sigma_hat must be finite and positive, got {sigma_hat[bad][0]!r}")
@@ -273,21 +275,24 @@ def _lasso_rows(X: np.ndarray, xty: np.ndarray, theta_ls: np.ndarray, sigma_hat:
     else:
         t = np.broadcast_to(n * sigma_hat * eta_prime, theta_ls.shape)
     gram = X.T @ X
-    g = gram.tolist()
+    xty = np.einsum("ij,rj->ri", gram, theta_ls)
     sign = np.sign(theta_ls)
     tau = np.zeros(len(xty))
     rows = np.arange(len(xty))
     out = np.empty_like(xty)
-    diag = np.arange(k)
     for _ in range(3 ** k):
         active = sign != 0.0
-        a = np.where(active[:, :, None] & active[:, None, :], gram, 0.0)
-        a[:, diag, diag] += ~active
-        rhs = np.where(active[:, :, None], np.stack([xty, t * sign], axis=-1), 0.0)
-        u, v = np.moveaxis(np.linalg.solve(a, rhs), -1, 0)
-        p = np.stack([xty[:, i] - sum(g[i][j] * u[:, j] for j in range(k))
-                      for i in range(k)], axis=1)
-        q = np.stack([sum(g[i][j] * v[:, j] for j in range(k)) for i in range(k)], axis=1)
+        # one exact key per support, whatever k: the bytes of its mask
+        _, first, which = np.unique(active.view(f"V{k}").ravel(), return_index=True,
+                                    return_inverse=True)
+        inv = np.zeros((first.size, k, k))
+        for block, on in zip(inv, active[first]):
+            block[np.ix_(on, on)] = np.linalg.inv(gram[np.ix_(on, on)])
+        inv = inv[which]
+        u = np.einsum("rij,rj->ri", inv, xty)
+        v = np.einsum("rij,rj->ri", inv, t * sign)
+        p = xty - np.einsum("ij,rj->ri", gram, u)
+        q = np.einsum("ij,rj->ri", gram, v)
         with np.errstate(divide="ignore", invalid="ignore"):
             event = np.where(active & (sign * v > 0), u / v,
                              np.where(~active & (q > t), p / (t - q),
@@ -310,10 +315,8 @@ def _lasso_rows(X: np.ndarray, xty: np.ndarray, theta_ls: np.ndarray, sigma_hat:
 
 def _solve_one(data: RegressionData, config: LassoConfig, sigma_hat: float, adaptive: bool):
     theta_ls, _ = least_squares(data)
-    # einsum rather than BLAS keeps each row's X'Y independent of the batch
-    xty = np.einsum("rn,nk->rk", data.Y[None, :], data.X)
-    return _lasso_rows(data.X, xty, theta_ls[None, :],
-                       np.array([float(sigma_hat)]), config, adaptive)[0]
+    return _lasso_rows(data.X, theta_ls[None, :], np.array([float(sigma_hat)]), config,
+                       adaptive)[0]
 
 
 def lasso(data: RegressionData, config: LassoConfig, sigma_hat: float) -> np.ndarray:

@@ -382,17 +382,22 @@ def column_scaling_equivariance():
 def lasso_diagonal_closed_forms():
     # on a diagonal design the batched solvers of run_study give the closed
     # forms: the lasso is soft and the adaptive lasso adaptive soft
-    # thresholding, replication by replication, for known and estimated sigma
-    design = est.DesignSpec("I", 8, 4, rho=0.0)
-    for feasible in (False, True):
-        for solver, kind in (("lasso", fd.SOFT), ("adaptive-lasso", fd.ADAPTIVE)):
-            a, b = (mc.run_study(mc.SimConfig(design=design, theta=(3.0, 1.5, 0.0, 0.0),
-                                              sigma=1.0, estimator=estimator,
-                                              feasible=feasible, reps=400, seed=6))
-                    for estimator in (solver, kind))
-            # estimate = theta + sigma * xi * scaled / sqrt(n)
-            gap = np.max(np.abs(a.scaled_samples - b.scaled_samples) * a.xi / math.sqrt(8))
-            assert gap <= 1e-10, f"{solver} vs {kind}, feasible={feasible}: {gap}"
+    # thresholding, replication by replication, for known and estimated sigma.
+    # At k = 70 the supports differ only past the 64th coordinate, where a
+    # 64-bit support key could not tell them apart.
+    base = mc.SimConfig(design=est.DesignSpec("I", 8, 4, rho=0.0), theta=(3.0, 1.5, 0.0, 0.0),
+                        sigma=1.0, estimator="lasso", reps=400, seed=6)
+    configs = [replace(base, estimator=solver, feasible=feasible)
+               for feasible in (False, True) for solver in ("lasso", "adaptive-lasso")]
+    configs.append(replace(base, design=est.DesignSpec("I", 70, 70, rho=0.0), feasible=False,
+                           theta=(3.0,) * 64 + tuple(np.linspace(0.0, 0.5, 6)), reps=20))
+    for config in configs:
+        kind = fd.SOFT if config.estimator == "lasso" else fd.ADAPTIVE
+        a, b = (mc.run_study(replace(config, estimator=e)) for e in (config.estimator, kind))
+        # estimate = theta + sigma * xi * scaled / sqrt(n)
+        n, k = config.design.n, config.design.k
+        gap = np.max(np.abs(a.scaled_samples - b.scaled_samples) * a.xi / math.sqrt(n))
+        assert gap <= 1e-10, f"{config.estimator} vs {kind}, k={k}, {config.feasible=}: {gap}"
 
 
 # ---------------------------------------------------------------- mc harness

@@ -9,7 +9,7 @@ as a new generator per replication.
 
 A study streams its replications through one block of about
 ``STREAM_ELEMENTS`` response values: each block of rows is drawn, fitted and
-reduced to its least-squares fits, residual scales and X'Y before the next
+reduced to its least-squares fits and residual scales before the next
 block reuses the buffer, so a study holds O(reps * k) memory, not a
 ``(reps, n)`` response matrix.  The ``(seed, replication)`` streams and each
 replication's results are bit-identical whatever the block size and the
@@ -190,7 +190,6 @@ def run_study(config: SimConfig) -> SimResult:
     theta = np.asarray(config.theta)
     eta = config.eta_value()
     reps = config.reps
-    lasso = config.estimator not in KINDS
 
     # the replications stream through one block of response rows; einsum,
     # unlike BLAS, keeps each row independent of the batch shape, so every
@@ -204,7 +203,6 @@ def run_study(config: SimConfig) -> SimResult:
     resid = np.empty((rows, n))
     theta_ls = np.empty((reps, k))
     scale = np.empty(reps) if config.feasible else np.full(reps, config.sigma)
-    xty = np.empty((reps, k)) if lasso else None
     for lo in range(0, reps, rows):
         hi = min(lo + rows, reps)
         # the noise is drawn straight into the response rows, then scaled and
@@ -218,8 +216,6 @@ def run_study(config: SimConfig) -> SimResult:
             r = np.einsum("rk,kn->rn", theta_ls[lo:hi], xt, out=resid[:hi - lo])
             np.subtract(y, r, out=r)
             scale[lo:hi] = np.sqrt(np.einsum("ij,ij->i", r, r) / (n - k))
-        if lasso:
-            np.einsum("rn,nk->rk", y, X, out=xty[lo:hi])
 
     if config.estimator in KINDS:
         estimates = threshold_estimate(config.estimator, theta_ls,
@@ -227,7 +223,7 @@ def run_study(config: SimConfig) -> SimResult:
     else:
         adaptive = config.estimator == "adaptive-lasso"
         cfg = LassoConfig.constant(eta) if adaptive else LassoConfig.eta_xi_inverse(eta)
-        estimates = _lasso_rows(X, xty, theta_ls, scale, cfg, adaptive)
+        estimates = _lasso_rows(X, theta_ls, scale, cfg, adaptive)
 
     scaled = math.sqrt(n) / config.sigma * (estimates - theta[None, :]) / xi[None, :]
     zero_mask = estimates == 0.0

@@ -98,9 +98,20 @@ def normal_quantile(p):
     return out if out.ndim else float(out)
 
 
-def _rho_log_const(m: int) -> float:
-    # rho_m(s) = exp(logc + log(s) + (m/2 - 1) log(m s^2) - m s^2 / 2)
-    return math.log(2.0) + math.log(m) - 0.5 * m * math.log(2.0) - math.lgamma(0.5 * m)
+def _log_rho(m: int, s):
+    """log rho_m(s) for s > 0, written about s = 1: with a = m/2 and d = s - 1,
+    it is K + (m - 1)(log1p(d) - d) - d - a d^2, where
+    K = log 2 + a log a - a - lgamma(a).  Where rho_m has its mass, d is of
+    order m^-1/2 and every term but K is O(1), so the rounding does not grow
+    with m, as it does in logc + (m - 1) log s - a s^2, whose terms are O(m)."""
+    a = 0.5 * m
+    if a < 50.0:
+        k = math.log(2.0) + a * math.log(a) - a - math.lgamma(a)
+    else:
+        # Stirling's series for lgamma; the next term is below 1e-15
+        k = 0.5 * math.log(m / math.pi) - (1 / 12 - (1 / 360 - 1 / (1260 * a * a)) / (a * a)) / a
+    d = s - 1.0
+    return k + (m - 1.0) * (np.log1p(d) - d) - d - a * d * d
 
 
 def rho_density(m, s):
@@ -111,21 +122,12 @@ def rho_density(m, s):
     pos = s > 0
     sp = np.atleast_1d(s)[np.atleast_1d(pos)]
     if sp.size:
-        logc = _rho_log_const(m)
-        vals = np.exp(logc + np.log(sp) + (0.5 * m - 1.0) * np.log(m * sp * sp)
-                      - 0.5 * m * sp * sp)
+        vals = np.exp(_log_rho(m, sp))
         if out.ndim:
             out[pos] = vals
         else:
             out = vals[0]
     return out if np.ndim(out) else float(out)
-
-
-def _rho_scalar(m: int, s: float, logc: float) -> float:
-    if s <= 0.0:
-        return 0.0
-    return math.exp(logc + math.log(s) + (0.5 * m - 1.0) * math.log(m * s * s)
-                    - 0.5 * m * s * s)
 
 
 def chi_square_tail(m, x):
@@ -175,10 +177,9 @@ def integrate_rho(m: int, f: Callable[[float], float], tol: float = DEFAULT_TOL,
         raise ValueError("tol must be positive")
     lo, hi = rho_support(m)
     pts = sorted(float(b) for b in breakpoints or () if lo < b < hi)
-    logc = _rho_log_const(m)
 
     def integrand(s: float) -> float:
-        return f(s) * _rho_scalar(m, s, logc)
+        return f(s) * math.exp(_log_rho(m, s))
 
     # imported on first use: scipy.integrate also loads scipy.optimize, and
     # only the checks' oracles need it
@@ -283,10 +284,5 @@ def rho_average(m: int, f: Callable, x, breakpoints) -> np.ndarray:
     edges = np.concatenate([np.broadcast_to(base, (x.size, base.size)),
                             (brk[:, :, None] + offsets).reshape(x.size, -1)], axis=1)
     edges = np.sort(np.clip(edges, lo, hi), axis=1)
-    # log rho_m(s) = logc + (m - 1) log s - m s^2 / 2
-    logc = _rho_log_const(m) + (0.5 * m - 1.0) * math.log(m)
-
-    def weight(s):
-        return np.exp(logc + (m - 1.0) * np.log(s) - 0.5 * m * s * s)
-
-    return integrate_panels(lambda i, s: f(x[i, None], s), edges, DEFAULT_TOL, weight)
+    return integrate_panels(lambda i, s: f(x[i, None], s), edges, DEFAULT_TOL,
+                            lambda s: np.exp(_log_rho(m, s)))

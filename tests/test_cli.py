@@ -43,6 +43,15 @@ class TestSelprob:
         assert code == 0
         assert abs(float(out.splitlines()[1]) - 0.95) <= 1e-12
 
+    def test_unknown_variance_at_a_billion_dof(self, capsys):
+        # the rho_m weight is exact at any dof, so the smoothed law is the
+        # known-variance one up to the O(1/dof) effect of estimating sigma
+        args = ("selprob", "--n", "8", "--theta", "0.3")
+        code, out, _ = run_cli(capsys, *args, "--mode", "unknown", "--dof", "1000000000")
+        assert code == 0
+        _, known, _ = run_cli(capsys, *args, "--mode", "known")
+        assert abs(float(out.splitlines()[1]) - float(known.splitlines()[1])) <= 1e-8
+
     def test_unknown_mode_needs_dof(self, capsys):
         code, _, err = run_cli(capsys, "selprob", "--theta", "0", "--n", "8",
                                "--eta-rule", "default", "--mode", "unknown")

@@ -1,5 +1,7 @@
 import math
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate, stats
@@ -86,6 +88,17 @@ class TestRho:
         for b in (0.3, 0.9, 1.4):
             val = sf.integrate_rho(4, lambda s: 1.0 if s >= b else 0.0, breakpoints=[b])
             assert abs(val - sf.chi_square_tail(4, 4.0 * b * b)) <= 1e-10
+
+    @pytest.mark.parametrize("m", [10 ** 6, 10 ** 7, 10 ** 9])
+    def test_rho_average_mass_at_large_dof(self, m):
+        # the weight's rounding does not grow with m: the truncated support
+        # carries all but 2 * SUPPORT_TAIL_MASS of the mass at any dof.  Noise
+        # in the weight would keep the two rules of a panel apart and set off
+        # bisections, which the time bound catches.
+        start = time.perf_counter()
+        mass = float(sf.rho_average(m, lambda x, s: np.ones_like(s), 0.0, [[1.0]])[0])
+        assert abs(mass - (1.0 - 2.0 * sf.SUPPORT_TAIL_MASS)) <= 1e-10
+        assert time.perf_counter() - start < 1.0
 
     def test_quadrature_failure_reports_estimate(self):
         # absurd tolerance cannot be met; the error carries the estimate
