@@ -2,7 +2,7 @@
 
 Modules
 -------
-special        normal / chi / non-central t routines and rho-weighted quadrature
+special        normal, chi and rho routines and rho-weighted quadrature
 distributions  exact finite-sample mixed laws of the six estimator variants,
                as the conservative limit families at (shift, sqrt(n)*eta)
 limits         moving-parameter limit catalog, selection-probability limits,
@@ -16,7 +16,7 @@ cli            command-line front end (``threshdist ...``)
 from .distributions import (ADAPTIVE, HARD, KINDS, KNOWN, SOFT, ComponentSpec,
                             MixtureDistribution, VarianceMode, ac_density,
                             as_mixture, cdf, deletion_probability,
-                            inverse_xi_eta, root_n_over_xi, t_factor, z_bounds)
+                            inverse_xi_eta, root_n_over_xi, z_bounds)
 from .estimators import (DesignSpec, LassoConfig, NonConvergenceError,
                          RegressionData, SingularDesignError, adaptive_lasso,
                          lasso, least_squares, make_design, psi_values,

@@ -94,6 +94,8 @@ def _mode_from_args(args) -> fd.VarianceMode:
 
 
 def _spec_from_args(args) -> fd.ComponentSpec:
+    if args.n is None:
+        raise ValueError("a finite-sample law requires --n")
     eta = _resolve_eta(args, args.n)
     alpha = _resolve_alpha(args.alpha, args.n, args.xi, eta)
     return fd.ComponentSpec(n=args.n, xi=args.xi, theta=args.theta,
@@ -226,7 +228,7 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _add_component_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, help="sample size (required unless selprob --limit)")
     p.add_argument("--xi", type=float, default=1.0)
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--sigma", type=float, default=1.0)

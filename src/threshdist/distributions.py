@@ -55,7 +55,6 @@ __all__ = [
     "cdf",
     "ac_density",
     "z_bounds",
-    "t_factor",
     "as_mixture",
     "with_atom_neighborhood",
 ]
@@ -203,6 +202,8 @@ class MixtureDistribution:
 
     #: cdf values at -inf and +inf; a law whose mass escapes overrides them
     _tails = (0.0, 1.0)
+    #: points other than the atom where the density jumps
+    density_jumps = ()
 
     @property
     def atom_weight(self):
@@ -268,6 +269,10 @@ class _Conservative(MixtureDistribution):
 
 class ExcisedNormal(_Conservative):
     """Standard normal with the band (-nu-e, -nu+e) excised into an atom at -nu."""
+
+    @property
+    def density_jumps(self) -> tuple:
+        return (-self.nu - self.e, -self.nu + self.e)
 
     def _turn(self, x):
         return abs(x + self.nu)
@@ -377,12 +382,17 @@ class AdaptiveSmoothed(_Smoothed):
 _SMOOTHED = {HARD: HardSmoothed, SOFT: SoftSmoothed, ADAPTIVE: AdaptiveSmoothed}
 
 
+def _conservative(kind: str, nu: float, e: float, dof: int | None) -> _Conservative:
+    """The conservative family of ``kind`` at (nu, e): the known-sigma closed
+    form when ``dof`` is None, else that law smoothed over rho_dof."""
+    family = _SMOOTHED[kind]
+    return family.known(nu, e) if dof is None else family(nu, e, dof)
+
+
 def _family(kind: str, mode: VarianceMode, spec: ComponentSpec) -> _Conservative:
     """The law of sqrt(n) * (estimate - theta) / (sigma * xi): the family of
     ``kind`` at nu = shift and e = sqrt(n) * eta."""
-    family = _SMOOTHED[_check_kind(kind)]
-    b = spec.root_n * spec.eta
-    return family.known(spec.shift, b) if mode.known else family(spec.shift, b, mode.dof)
+    return _conservative(_check_kind(kind), spec.shift, spec.root_n * spec.eta, mode.dof)
 
 
 def _standardized(spec: ComponentSpec, x):
@@ -408,13 +418,6 @@ def z_bounds(spec: ComponentSpec, x: float, y: float) -> tuple[float, float]:
         raise ValueError(f"y must be nonnegative, got {y!r}")
     center, half = AdaptiveKnown(spec.shift, spec.root_n * y)._roots(spec.standardized(x))
     return center - half, center + half
-
-
-def t_factor(spec: ComponentSpec, x: float, y: float) -> float:
-    """Derivative factor of the adaptive-soft density; in [-1, 1]."""
-    x = spec.standardized(x)
-    _, half = AdaptiveKnown(spec.shift, spec.root_n * y)._roots(x)
-    return float(0.5 * (x + spec.shift) / half) if half else 0.0
 
 
 def cdf(kind: str, mode: VarianceMode, spec: ComponentSpec, x):
@@ -452,6 +455,13 @@ class _FiniteSampleLaw(MixtureDistribution):
     @property
     def atom_location(self) -> float:
         return self.spec.atom_location
+
+    @property
+    def density_jumps(self) -> tuple:
+        """The family's jumps, mapped back from x' to x."""
+        spec = self.spec
+        return tuple(p * (spec.alpha * spec.xi / spec.root_n)
+                     for p in _family(self.kind, self.mode, spec).density_jumps)
 
     @cached_property
     def atom_weight(self) -> float:

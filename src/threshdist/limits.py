@@ -31,9 +31,9 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from . import special as sf
-from .distributions import (_SMOOTHED, ADAPTIVE, HARD, SOFT, AdaptiveKnown,
-                            AdaptiveSmoothed, ExcisedNormal, HardSmoothed,
-                            SoftShiftNormal, SoftSmoothed, _check_kind)
+from .distributions import (ADAPTIVE, HARD, SOFT, AdaptiveKnown, AdaptiveSmoothed,
+                            ExcisedNormal, HardSmoothed, SoftShiftNormal,
+                            SoftSmoothed, _check_kind, _conservative)
 from .distributions import MixtureDistribution as LimitDistribution
 
 __all__ = [
@@ -117,12 +117,6 @@ class RegimeParams:
             if not (float(self.dof).is_integer() and self.dof >= 1):
                 raise ValueError(f"dof must be a positive integer or inf, got {self.dof!r}")
 
-    def fixed_dof(self) -> int:
-        m = _need(self.dof, "dof")
-        if m == DIVERGING:
-            raise RegimeNotCoveredError("this case needs eventually-constant degrees of freedom")
-        return int(m)
-
 
 @dataclass(frozen=True)
 class StdNormal(LimitDistribution):
@@ -180,6 +174,8 @@ class SoftChiFold(LimitDistribution):
     zeta: float
     m: int
 
+    density_jumps = (0.0,)
+
     def _cdf(self, x):
         z = self.zeta
         if z >= 0.0:
@@ -210,6 +206,8 @@ class AdaptiveChiCdf(LimitDistribution):
 
     zeta: float
     m: int
+
+    density_jumps = (0.0,)
 
     def __post_init__(self):
         if not (math.isfinite(self.zeta) and self.zeta != 0.0):
@@ -263,6 +261,10 @@ class OracleHardBoundary(LimitDistribution):
         return np.where(kept, sf.normal_pdf(x), 0.0)
 
     @property
+    def density_jumps(self) -> tuple:
+        return (self.zeta * self.r,)
+
+    @property
     def _tails(self):
         return float(self._cdf(-math.inf)), float(self._cdf(math.inf))
 
@@ -305,12 +307,12 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-def _gauss_average(d: float, r: float) -> float:
-    """integral of Phi(d*t + r) phi(t) dt over the real line.
-
-    It is Pr(Z1 - d*Z2 <= r) for independent standard normals, and
-    Z1 - d*Z2 is N(0, 1 + d^2)."""
-    return _phi_cdf(r / math.hypot(1.0, d))
+def _smoothing_dof(params: RegimeParams, mode: str) -> int | None:
+    """The eventually-constant dof m over which the estimate of sigma smooths
+    the law; None for known sigma or diverging dof, as in VarianceMode.dof."""
+    if mode == "known" or _need(params.dof, "dof") == DIVERGING:
+        return None
+    return int(params.dof)
 
 
 def limit_selection_probability(params: RegimeParams, mode: str) -> float:
@@ -320,34 +322,20 @@ def limit_selection_probability(params: RegimeParams, mode: str) -> float:
 
     if e < math.inf:  # conservative tuning
         nu = _need(params.nu, "nu")
-        if mode == "known" or _need(params.dof, "dof") == DIVERGING:
-            return ExcisedNormal(nu, e).atom_weight
-        return HardSmoothed(nu, e, params.fixed_dof()).atom_weight
+        return _conservative(HARD, nu, e, _smoothing_dof(params, mode)).atom_weight
 
     zeta = _need(params.zeta, "zeta")
-    if mode == "known":
-        if abs(zeta) < 1.0:
-            return 1.0
-        if abs(zeta) > 1.0:
-            return 0.0
-        return _phi_cdf(_need(params.r, "r"))
-
-    dof = _need(params.dof, "dof")
-    if dof != DIVERGING:
-        m = params.fixed_dof()
-        if math.isinf(zeta):
-            return 0.0
+    m = _smoothing_dof(params, mode)
+    if m is not None:
         return sf.chi_square_tail(m, m * zeta * zeta)
-    if abs(zeta) < 1.0:
-        return 1.0
-    if abs(zeta) > 1.0:
-        return 0.0
-    d = _need(params.d, "d")
-    if d == 0.0:
-        return _phi_cdf(_need(params.r, "r"))
-    if d < math.inf:
-        return _gauss_average(d, _need(params.r, "r"))
-    return _phi_cdf(_need(params.r_prime, "r_prime"))
+    if abs(zeta) != 1.0:
+        return float(abs(zeta) < 1.0)
+    # on the boundary: Phi(r / sqrt(1 + d^2)) = Pr(Z1 - d*Z2 <= r), with
+    # d = 0 for known sigma, and Phi(r') as d -> inf
+    d = 0.0 if mode == "known" else _need(params.d, "d")
+    if d == math.inf:
+        return _phi_cdf(_need(params.r_prime, "r_prime"))
+    return _phi_cdf(_need(params.r, "r") / math.hypot(1.0, d))
 
 
 def limit_distribution(kind: str, mode: str, params: RegimeParams) -> LimitDistribution:
@@ -358,24 +346,22 @@ def limit_distribution(kind: str, mode: str, params: RegimeParams) -> LimitDistr
 
     if e < math.inf:  # conservative tuning, scaling sqrt(n)/xi
         nu = _need(params.nu, "nu")
-        fixed = mode == "unknown" and _need(params.dof, "dof") != DIVERGING
+        m = _smoothing_dof(params, mode)
         if e == 0.0 or (math.isinf(nu) and kind != SOFT):
             return StdNormal()
-        family = _SMOOTHED[kind]
-        return family(nu, e, params.fixed_dof()) if fixed else family.known(nu, e)
+        return _conservative(kind, nu, e, m)
 
     # consistent tuning, scaling 1/(xi*eta)
     zeta = _need(params.zeta, "zeta")
-    fixed = mode == "unknown" and _need(params.dof, "dof") != DIVERGING
+    m = _smoothing_dof(params, mode)
     if kind == HARD:
         # deleted coordinates sit at -zeta, kept ones at 0
-        if math.isinf(zeta) or (not fixed and abs(zeta) > 1.0):
+        if math.isinf(zeta) or (m is None and abs(zeta) > 1.0):
             return PointMass(0.0)
-        if not fixed and abs(zeta) < 1.0:
+        if m is None and abs(zeta) < 1.0:
             return PointMass(-zeta)
         return TwoPointMixture(limit_selection_probability(params, mode), -zeta, 0.0)
-    if fixed:
-        m = params.fixed_dof()
+    if m is not None:
         if kind == SOFT:
             return SoftChiFold(zeta, m)
         if zeta == 0.0 or math.isinf(zeta):
@@ -393,6 +379,11 @@ def limit_distribution(kind: str, mode: str, params: RegimeParams) -> LimitDistr
     return PointMass(-1.0 / zeta)
 
 
+def _mass_at(loc: float) -> LimitDistribution:
+    """A point mass at loc, or all mass escaping toward loc = +-inf."""
+    return PointMass(loc) if math.isfinite(loc) else EscapesToInfinity(1 if loc > 0 else -1)
+
+
 def oracle_limit(kind: str, params: RegimeParams) -> LimitDistribution:
     """Limit under sqrt(n)/xi scaling with consistent tuning (oracle scaling)."""
     _check_kind(kind)
@@ -408,18 +399,12 @@ def oracle_limit(kind: str, params: RegimeParams) -> LimitDistribution:
         return _need(params.nu, "nu")
 
     if kind == SOFT:
-        nu = resolved_nu()
-        if math.isfinite(nu):
-            return PointMass(-nu)
-        return EscapesToInfinity(-1 if nu > 0 else 1)
+        return _mass_at(-resolved_nu())
 
     zeta = _need(params.zeta, "zeta")
     if kind == HARD:
         if abs(zeta) < 1.0:
-            nu = resolved_nu()
-            if math.isfinite(nu):
-                return PointMass(-nu)
-            return EscapesToInfinity(-1 if nu > 0 else 1)
+            return _mass_at(-resolved_nu())
         if abs(zeta) > 1.0:
             return StdNormal()
         r = _need(params.r, "r")
@@ -429,21 +414,13 @@ def oracle_limit(kind: str, params: RegimeParams) -> LimitDistribution:
 
     # adaptive soft
     if zeta == 0.0:
-        nu = _need(params.nu, "nu")
-        if math.isfinite(nu):
-            return PointMass(-nu)
-        return EscapesToInfinity(-1 if nu > 0 else 1)
+        return _mass_at(-resolved_nu())
     if math.isfinite(zeta):
         return EscapesToInfinity(-1 if zeta > 0 else 1)
     w = _need(params.w, "w")
-    if math.isfinite(w):
-        if w != 0.0 and math.copysign(1.0, w) != math.copysign(1.0, zeta):
-            raise RegimeNotCoveredError(
-                f"w={w!r} has a sign incompatible with zeta={zeta!r}")
-        return ShiftedNormal(w)
-    if math.copysign(1.0, w) != math.copysign(1.0, zeta):
+    if w != 0.0 and math.copysign(1.0, w) != math.copysign(1.0, zeta):
         raise RegimeNotCoveredError(f"w={w!r} has a sign incompatible with zeta={zeta!r}")
-    return EscapesToInfinity(-1 if w > 0 else 1)
+    return ShiftedNormal(w) if math.isfinite(w) else EscapesToInfinity(-1 if w > 0 else 1)
 
 
 def uniform_rate(n: int, xi: float, eta: float) -> float:
@@ -460,17 +437,20 @@ def tv_distance(a: LimitDistribution, b: LimitDistribution,
 
     Both mixtures must share the atom location, or both have none.  The L1
     integral runs over ``window``, so the caller must pick it wide enough
-    for both densities, and pass in ``breakpoints`` the points where either
-    density jumps.  Its panels are cut at the window, the atom and the
-    breakpoints, and :func:`special.integrate_panels` integrates them to
-    TV_TOL.
+    for both densities.  Its panels are cut at the window, the atom, the
+    points where either law's density jumps (``density_jumps``) and any
+    extra ``breakpoints``, with cuts a few ulps apart merged, and
+    :func:`special.integrate_panels` integrates them to TV_TOL.
     """
     atom, other = a.atom_location, b.atom_location
     if (atom is None) != (other is None) or atom is not None and not math.isclose(
             atom, other, rel_tol=0.0, abs_tol=1e-12):
         raise ValueError("total-variation comparison needs a common atom location")
     lo, hi = window
-    edges = np.array([[lo, *sorted(p for p in {atom, *breakpoints} - {None} if lo < p < hi), hi]])
+    cuts = {atom, *a.density_jumps, *b.density_jumps, *breakpoints} - {None}
+    edges = np.array([lo, *sorted(p for p in cuts if lo < p < hi), hi])
+    # a panel only ulps wide cannot be bisected to resolve a jump inside it
+    edges = edges[np.append(np.diff(edges) > 4.0 * np.spacing(np.abs(edges[1:])), True)]
     l1 = sf.integrate_panels(lambda _, x: np.abs(a.ac_density(x) - b.ac_density(x)),
-                             edges, TV_TOL)
+                             edges[None], TV_TOL)
     return abs(a.atom_weight - b.atom_weight) + float(l1[0])

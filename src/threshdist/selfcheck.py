@@ -271,13 +271,11 @@ def tv_distance_decreases():
     # total variation as m grows: like 1/m for soft and adaptive, like
     # 1/sqrt(m) for hard, whose jumps at the band edges get smeared
     known = lm.RegimeParams(e=1.96, nu=1.0)
-    bps = (-known.nu - known.e, -known.nu, -known.nu + known.e, 0.0)
     for kind, factor in ((fd.HARD, 0.55), (fd.SOFT, 0.3), (fd.ADAPTIVE, 0.3)):
         limit = lm.limit_distribution(kind, "known", known)
         smoothed = [lm.limit_distribution(kind, "unknown", replace(known, dof=m))
                     for m in (4, 16, 64, 256)]
-        dists = [lm.tv_distance(limit, law, window=(-12.0, 12.0), breakpoints=bps)
-                 for law in smoothed]
+        dists = [lm.tv_distance(limit, law, window=(-12.0, 12.0)) for law in smoothed]
         assert all(0.0 < y <= factor * x for x, y in zip(dists, dists[1:])), f"{kind}: {dists}"
 
 

@@ -118,16 +118,8 @@ def rho_density(m, s):
     """Density of sqrt(chi2_m/m): 2*m*s*g_m(m*s**2) for s > 0, else 0."""
     m = _check_dof(m)
     s = np.asarray(s, dtype=float)
-    out = np.zeros(s.shape if s.ndim else ())
-    pos = s > 0
-    sp = np.atleast_1d(s)[np.atleast_1d(pos)]
-    if sp.size:
-        vals = np.exp(_log_rho(m, sp))
-        if out.ndim:
-            out[pos] = vals
-        else:
-            out = vals[0]
-    return out if np.ndim(out) else float(out)
+    out = np.where(s > 0, np.exp(_log_rho(m, np.where(s > 0, s, 1.0))), 0.0)
+    return out if out.ndim else float(out)
 
 
 def chi_square_tail(m, x):
@@ -216,10 +208,11 @@ def integrate_panels(f: Callable, edges: np.ndarray, tol: float,
     panel is integrated by the Gauss-Legendre rules with RULE_NODES and
     2 * RULE_NODES nodes.  A panel is kept, with the second rule's value,
     where the two agree to ``tol`` times its share of its row's span; every
-    other panel is bisected, up to MAX_BISECTIONS times.  A panel still open
-    then raises :class:`QuadratureError`, whose ``error`` is the worst gap
-    between the two rules scaled from its panel to the whole row, which
-    exceeds ``tol``.
+    other panel is bisected, up to MAX_BISECTIONS times and while the open
+    panels number at most BLOCK_ELEMENTS // (3 * RULE_NODES) per row.  Past
+    either cap, the open panels raise :class:`QuadratureError`, whose
+    ``error`` is the worst gap between the two rules scaled from its panel to
+    the whole row, which exceeds ``tol``.
 
     ``f`` is called with the row of each panel in ``i``, of shape (p,), and
     the nodes of both rules on that panel in the same row of ``s``, of shape
@@ -234,7 +227,7 @@ def integrate_panels(f: Callable, edges: np.ndarray, tol: float,
     left, right = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     span = edges[:, -1] - edges[:, 0]
     total, chunk = np.zeros(rows), max(1, BLOCK_ELEMENTS // t.size)
-    for _ in range(MAX_BISECTIONS + 1):
+    for level in range(MAX_BISECTIONS + 1):
         width = right - left
         sums = np.empty((2, row.size))
         for j in range(0, row.size, chunk):
@@ -249,15 +242,20 @@ def integrate_panels(f: Callable, edges: np.ndarray, tol: float,
         ok = scaled <= tol * width
         # bincount adds a row's panels in their order, whatever the other rows
         total += np.bincount(row[ok], sums[1, ok], minlength=rows)
-        if np.count_nonzero(ok) == ok.size:
+        missed = ok.size - np.count_nonzero(ok)
+        if missed == 0:
             return total
+        # an integrand the rules never agree on would double the open panels
+        # at every level, so their number is capped at one block per row
+        if level == MAX_BISECTIONS or missed > rows * chunk:
+            break
         mid = 0.5 * (left + right)[~ok]
         left, right = np.stack([left[~ok], mid], 1).ravel(), np.stack([mid, right[~ok]], 1).ravel()
         row = np.repeat(row[~ok], 2)
     worst = float(np.max(scaled[~ok] / width[~ok]))
-    raise QuadratureError(f"panel quadrature failed on {np.count_nonzero(~ok)} panels after "
-                          f"{MAX_BISECTIONS} bisections (worst gap between the two rules, scaled "
-                          f"from a panel to its row, {worst:.3e} > {tol:.3e})", error=worst)
+    raise QuadratureError(f"panel quadrature failed on {missed} panels after {level} bisections "
+                          f"(worst gap between the two rules, scaled from a panel to its row, "
+                          f"{worst:.3e} > {tol:.3e})", error=worst)
 
 
 def rho_average(m: int, f: Callable, x, breakpoints) -> np.ndarray:

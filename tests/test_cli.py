@@ -73,6 +73,21 @@ class TestSelprob:
         val = json.loads(out)[0]["value"]
         assert abs(val - 3.0 * math.exp(-2.0)) <= 1e-12
 
+    def test_limiting_value_needs_no_sample_size(self, capsys):
+        code, out, err = run_cli(capsys, "selprob", "--limit", "--mode", "unknown",
+                                 "--e", "inf", "--zeta", "1", "--dof", "inf", "--d", "1",
+                                 "--r", "0")
+        assert code == 0 and err == ""
+        assert float(out.splitlines()[1]) == 0.5
+
+    @pytest.mark.parametrize("argv", [["dist", "--kind", "hard"], ["selprob", "--theta", "0.3"]],
+                             ids=["dist", "selprob"])
+    def test_finite_sample_needs_n(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        error = json.loads(err)
+        assert error["exit_code"] == 2 and "--n" in error["error"]
+
     def test_regime_not_covered_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "selprob", "--limit", "--mode", "known",
                                "--e", "inf", "--zeta", "1", "--n", "1")

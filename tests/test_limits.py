@@ -324,6 +324,80 @@ class TestOracleLimits:
             lm.oracle_limit("adaptive", P(zeta=INF))  # w missing
 
 
+# The paper's case table, one row per merged branch of the dispatchers:
+# (call, expected), where expected is a probability, a family, or the
+# exception and the message fragment it must raise.
+PHI = stats.norm.cdf
+SELPROB, LIMIT, ORACLE = (lm.limit_selection_probability, lm.limit_distribution,
+                          lm.oracle_limit)
+CASE_TABLE = {
+    # |zeta| = 1 under consistent tuning: Phi(r) for known sigma is the d = 0
+    # case of Phi(r / sqrt(1 + d^2)) at diverging dof, and Phi(r') at d = inf
+    "known-boundary": (lambda: SELPROB(P(e=INF, zeta=1.0, r=0.4), "known"), PHI(0.4)),
+    "known-boundary-neg": (lambda: SELPROB(P(e=INF, zeta=-1.0, r=-0.3), "known"), PHI(-0.3)),
+    "div-d0": (lambda: SELPROB(P(e=INF, zeta=1.0, dof=INF, d=0.0, r=0.4), "unknown"), PHI(0.4)),
+    "div-d1.5": (lambda: SELPROB(P(e=INF, zeta=-1.0, dof=INF, d=1.5, r=0.4), "unknown"),
+                 PHI(0.4 / math.sqrt(3.25))),
+    "div-dinf": (lambda: SELPROB(P(e=INF, zeta=1.0, dof=INF, d=INF, r=0.4, r_prime=-0.4),
+                                 "unknown"), PHI(-0.4)),
+    "known-inside": (lambda: SELPROB(P(e=INF, zeta=-0.5), "known"), 1.0),
+    "div-outside": (lambda: SELPROB(P(e=INF, zeta=2.0, dof=INF), "unknown"), 0.0),
+    "hard-div-boundary": (lambda: LIMIT("hard", "unknown", P(e=INF, zeta=1.0, dof=INF, d=0.0,
+                                                             r=0.4)),
+                          lm.TwoPointMixture(PHI(0.4), -1.0, 0.0)),
+    # fixed dof: deletion mass Pr(chi2_m > m zeta^2), nothing left at zeta = +-inf
+    "fixed-zeta1": (lambda: SELPROB(P(e=INF, zeta=1.0, dof=4), "unknown"), 3.0 * math.exp(-2.0)),
+    "fixed-zeta+inf": (lambda: SELPROB(P(e=INF, zeta=INF, dof=4), "unknown"), 0.0),
+    "fixed-zeta-inf": (lambda: SELPROB(P(e=INF, zeta=-INF, dof=4), "unknown"), 0.0),
+    "fixed-hard-inf": (lambda: LIMIT("hard", "unknown", P(e=INF, zeta=-INF, dof=4)),
+                       lm.PointMass(0.0)),
+    "fixed-soft-inf": (lambda: LIMIT("soft", "unknown", P(e=INF, zeta=INF, dof=4)),
+                       lm.SoftChiFold(INF, 4)),
+    "fixed-adaptive-inf": (lambda: LIMIT("adaptive", "unknown", P(e=INF, zeta=-INF, dof=4)),
+                           lm.PointMass(0.0)),
+    # oracle scaling: all mass at -nu, escaping when nu = +-inf
+    "soft-nu+inf": (lambda: ORACLE("soft", P(nu=INF)), lm.EscapesToInfinity(-1)),
+    "soft-nu-inf": (lambda: ORACLE("soft", P(nu=-INF)), lm.EscapesToInfinity(1)),
+    "soft-nu": (lambda: ORACLE("soft", P(nu=1.2)), lm.PointMass(-1.2)),
+    "hard-zeta+": (lambda: ORACLE("hard", P(zeta=0.5)), lm.EscapesToInfinity(-1)),
+    "hard-zeta-": (lambda: ORACLE("hard", P(zeta=-0.5, nu=-INF)), lm.EscapesToInfinity(1)),
+    "hard-nu": (lambda: ORACLE("hard", P(zeta=0.0, nu=-0.7)), lm.PointMass(0.7)),
+    "adaptive-nu+inf": (lambda: ORACLE("adaptive", P(zeta=0.0, nu=INF)),
+                        lm.EscapesToInfinity(-1)),
+    "adaptive-nu-inf": (lambda: ORACLE("adaptive", P(zeta=0.0, nu=-INF)),
+                        lm.EscapesToInfinity(1)),
+    "adaptive-nu": (lambda: ORACLE("adaptive", P(zeta=0.0, nu=1.2)), lm.PointMass(-1.2)),
+    # zeta = +-inf: N(-w, 1) for finite w of the sign of zeta, escaping for
+    # infinite w; a w of the other sign is outside the catalog
+    "w-finite": (lambda: ORACLE("adaptive", P(zeta=-INF, w=-0.2)), lm.ShiftedNormal(-0.2)),
+    "w-zero": (lambda: ORACLE("adaptive", P(zeta=-INF, w=0.0)), lm.ShiftedNormal(0.0)),
+    "w-infinite": (lambda: ORACLE("adaptive", P(zeta=-INF, w=-INF)), lm.EscapesToInfinity(1)),
+    "w-finite-wrong-sign": (lambda: ORACLE("adaptive", P(zeta=INF, w=-0.2)),
+                            (lm.RegimeNotCoveredError, "sign incompatible")),
+    "w-infinite-wrong-sign": (lambda: ORACLE("adaptive", P(zeta=-INF, w=INF)),
+                              (lm.RegimeNotCoveredError, "sign incompatible")),
+    # the variance regime is read before the boundary limits
+    "dof-before-d": (lambda: SELPROB(P(e=INF, zeta=1.0), "unknown"),
+                     (lm.RegimeNotCoveredError, "'dof'")),
+    "dof-before-d-hard": (lambda: LIMIT("hard", "unknown", P(e=INF, zeta=1.0)),
+                          (lm.RegimeNotCoveredError, "'dof'")),
+}
+
+
+@pytest.mark.parametrize("call,expected", list(CASE_TABLE.values()), ids=list(CASE_TABLE))
+def test_case_table(call, expected):
+    if isinstance(expected, tuple):
+        with pytest.raises(expected[0], match=expected[1]):
+            call()
+    elif isinstance(expected, float):
+        assert abs(call() - expected) <= 1e-15
+    else:
+        got = call()
+        assert type(got) is type(expected) and got == expected
+        if isinstance(got, lm.TwoPointMixture):
+            assert abs(got.weight_at_loc1 - expected.weight_at_loc1) <= 1e-15
+
+
 class TestUniformRate:
     def test_examples(self):
         assert lm.uniform_rate(100, 1.0, 0.5) == 2.0
@@ -363,6 +437,31 @@ class TestTvDistance:
         phi = stats.norm.cdf
         want = 2.0 * (2.0 * phi(e / 2.0) - 1.0 + phi(-nu) - phi(-nu - e))
         assert abs(lm.tv_distance(a, b, window=(-12.0, 12.0)) - want) <= 1e-9
+
+    @pytest.mark.parametrize("n", [80, 320])
+    def test_jumps_found_without_breakpoints(self, n):
+        # the known-variance hard law jumps at the band edges -+ sqrt(n) eta;
+        # the distance reads the same whether or not they are passed
+        eta = n ** -0.25
+        b = math.sqrt(n) * eta
+        spec = fd.ComponentSpec(n, 1.0, 0.0, 1.0, eta)
+        known = fd.as_mixture(fd.HARD, fd.KNOWN, spec)
+        unknown = fd.as_mixture(fd.HARD, fd.VarianceMode.unknown_sigma(n // 2), spec)
+        window = (-b - 9.0, b + 9.0)
+        given = lm.tv_distance(known, unknown, window=window, breakpoints=(-b, 0.0, b))
+        assert abs(lm.tv_distance(known, unknown, window=window) - given) <= lm.TV_TOL
+
+    def test_excised_band_edges_found(self):
+        # the two bands differ on 1 <= |x| < 1.2: 2 (2 Phi(1.2) - 2 Phi(1)) in all
+        a, b = lm.ExcisedNormal(0.0, 1.0), lm.ExcisedNormal(0.0, 1.2)
+        want = 4.0 * (stats.norm.cdf(1.2) - stats.norm.cdf(1.0))
+        assert abs(lm.tv_distance(a, b, window=(-12.0, 12.0)) - want) <= lm.TV_TOL
+        given = lm.tv_distance(a, b, window=(-12.0, 12.0), breakpoints=(-1.2, -1.0, 1.0, 1.2))
+        assert abs(lm.tv_distance(a, b, window=(-12.0, 12.0)) - given) <= lm.TV_TOL
+        # the oracle boundary laws keep the normal density above r only
+        a, b = lm.OracleHardBoundary(-1.0, 0.3), lm.OracleHardBoundary(-1.0, 0.5)
+        want = stats.norm.cdf(0.5) - stats.norm.cdf(0.3)
+        assert abs(lm.tv_distance(a, b) - want) <= lm.TV_TOL
 
     def test_atom_location_mismatch_rejected(self):
         a, b = lm.PointMass(0.0), lm.PointMass(1.0)

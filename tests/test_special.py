@@ -106,6 +106,17 @@ class TestRho:
             sf.integrate_rho(4, lambda s: math.sin(1000.0 * s), tol=1e-300)
         assert exc.value.error is not None
 
+    def test_panel_count_is_capped(self):
+        # two rules that never agree would double the open panels at every
+        # level up to the depth cap, 2**40 of them; the panel cap stops the
+        # bisection within a few levels
+        rng = np.random.default_rng(0)
+        start = time.perf_counter()
+        with pytest.raises(sf.QuadratureError) as exc:
+            sf.integrate_panels(lambda i, s: rng.random(s.shape), np.array([[0.0, 1.0]]), 1e-10)
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.error > 1e-10
+
 
 class TestChiSquareTail:
     def test_full_mass_at_zero(self):
