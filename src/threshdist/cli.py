@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -73,14 +74,6 @@ def _resolve_eta(args, n: int) -> float:
     return default_eta(n) if args.eta is None else args.eta
 
 
-def _resolve_alpha(text: str | None, n: int, xi: float, eta: float) -> float:
-    if text is None or text == "root-n-over-xi":
-        return fd.root_n_over_xi(n, xi)
-    if text == "inverse-xi-eta":
-        return fd.inverse_xi_eta(xi, eta)
-    return float(text)
-
-
 def _mode_from_args(args) -> fd.VarianceMode:
     if args.mode == "known":
         return fd.VarianceMode.known_sigma()
@@ -96,10 +89,14 @@ def _mode_from_args(args) -> fd.VarianceMode:
 def _spec_from_args(args) -> fd.ComponentSpec:
     if args.n is None:
         raise ValueError("a finite-sample law requires --n")
-    eta = _resolve_eta(args, args.n)
-    alpha = _resolve_alpha(args.alpha, args.n, args.xi, eta)
-    return fd.ComponentSpec(n=args.n, xi=args.xi, theta=args.theta,
-                            sigma=args.sigma, eta=eta, alpha=alpha)
+    # the alpha presets divide by xi and eta, so they read a validated spec
+    spec = fd.ComponentSpec(n=args.n, xi=args.xi, theta=args.theta, sigma=args.sigma,
+                            eta=_resolve_eta(args, args.n))
+    if args.alpha is None or args.alpha == "root-n-over-xi":
+        return spec
+    if args.alpha == "inverse-xi-eta":
+        return replace(spec, alpha=fd.inverse_xi_eta(spec.xi, spec.eta))
+    return replace(spec, alpha=float(args.alpha))
 
 
 def _grid(law: fd.MixtureDistribution) -> np.ndarray:

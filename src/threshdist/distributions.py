@@ -233,7 +233,8 @@ class MixtureDistribution:
     def ac_density(self, x):
         x = _as_points(x)
         if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
-            raise ValueError(f"density argument must be finite, got {x!r}")
+            first = x if isinstance(x, float) else float(x[~np.isfinite(x)][0])
+            raise ValueError(f"density argument must be finite, got {first!r}")
         return _float_or_array(self._density(x))
 
     def _density(self, x):
@@ -401,7 +402,9 @@ def _standardized(spec: ComponentSpec, x):
     x = _as_points(x)
     if isinstance(x, float):
         return -spec.shift if x == spec.atom_location else spec.standardized(x)
-    return np.where(x == spec.atom_location, -spec.shift, spec.standardized(x))
+    # a tiny alpha overflows x' to +-inf, as float division does for a scalar
+    with np.errstate(over="ignore"):
+        return np.where(x == spec.atom_location, -spec.shift, spec.standardized(x))
 
 
 def deletion_probability(spec: ComponentSpec, mode: VarianceMode = KNOWN) -> float:

@@ -67,8 +67,9 @@ class DesignSpec:
             if self.n % self.k != 0:
                 raise ValueError(f"variant I needs k | n, got n={self.n}, k={self.k}")
         else:
-            if self.c is None or not self.c > -1.0 / self.k:
-                raise ValueError(f"variant II needs c > -1/k = {-1.0 / self.k}, got {self.c!r}")
+            if self.c is None or not -1.0 / self.k < self.c < math.inf:
+                raise ValueError(f"variant II needs a finite c > -1/k = {-1.0 / self.k}, "
+                                 f"got {self.c!r}")
 
 
 def make_design(spec: DesignSpec) -> np.ndarray:
@@ -92,6 +93,8 @@ def make_design(spec: DesignSpec) -> np.ndarray:
 
 
 def _check_full_rank(X: np.ndarray) -> None:
+    if not np.isfinite(X).all():
+        raise ValueError("design X must be finite")
     sv = np.linalg.svd(X, compute_uv=False)
     if sv[-1] <= RANK_RTOL * sv[0]:
         raise SingularDesignError(
@@ -112,6 +115,8 @@ class RegressionData:
             raise ValueError(f"shape mismatch: X {X.shape}, Y {Y.shape}")
         if X.shape[0] < X.shape[1]:
             raise ValueError("need n >= k")
+        if not np.isfinite(Y).all():
+            raise ValueError("response Y must be finite")
         _check_full_rank(X)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
@@ -165,8 +170,8 @@ def threshold_estimate(kind: str, ls, scale, xi, eta):
     ls = np.asarray(ls, dtype=float)
     t = np.broadcast_to(np.asarray(scale, dtype=float) * np.asarray(xi, dtype=float)
                         * np.asarray(eta, dtype=float), ls.shape)
-    if np.any(t < 0):
-        raise ValueError("threshold must be nonnegative")
+    if not np.all(t >= 0):  # NaN too: hard thresholding would delete every coordinate
+        raise ValueError("threshold must be nonnegative, not NaN")
     keep = np.abs(ls) > t
     if kind == HARD:
         out = np.where(keep, ls, 0.0)

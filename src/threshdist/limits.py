@@ -436,17 +436,20 @@ def tv_distance(a: LimitDistribution, b: LimitDistribution,
     """|atom-weight difference| plus the L1 distance of the ac densities.
 
     Both mixtures must share the atom location, or both have none.  The L1
-    integral runs over ``window``, so the caller must pick it wide enough
-    for both densities.  Its panels are cut at the window, the atom, the
-    points where either law's density jumps (``density_jumps``) and any
-    extra ``breakpoints``, with cuts a few ulps apart merged, and
-    :func:`special.integrate_panels` integrates them to TV_TOL.
+    integral runs over ``window``, a finite (lo, hi) with lo < hi, so the
+    caller must pick it wide enough for both densities.  Its panels are cut
+    at the window, the atom, the points where either law's density jumps
+    (``density_jumps``) and any extra ``breakpoints``, with cuts a few ulps
+    apart merged, and :func:`special.integrate_panels` integrates them to
+    TV_TOL.
     """
     atom, other = a.atom_location, b.atom_location
     if (atom is None) != (other is None) or atom is not None and not math.isclose(
             atom, other, rel_tol=0.0, abs_tol=1e-12):
         raise ValueError("total-variation comparison needs a common atom location")
     lo, hi = window
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"window must be finite with lo < hi, got {window!r}")
     cuts = {atom, *a.density_jumps, *b.density_jumps, *breakpoints} - {None}
     edges = np.array([lo, *sorted(p for p in cuts if lo < p < hi), hi])
     # a panel only ulps wide cannot be bisected to resolve a jump inside it

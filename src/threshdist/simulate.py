@@ -68,6 +68,8 @@ HIST_BINS = 60
 def default_eta(n: int) -> float:
     """Tuning rule eta_n = n**-0.5 * Phi^{-1}(0.975): a coordinate with a
     zero coefficient is deleted with known-variance probability 0.95."""
+    if not n >= 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     return float(sf.normal_quantile(0.975)) / math.sqrt(n)
 
 

@@ -44,10 +44,13 @@ DEFAULT_TOL = 1e-10
 #: total rho-mass allowed outside the truncated integration interval
 SUPPORT_TAIL_MASS = 1e-14
 
-# The composite rule of :func:`rho_average`.  BASE_PANELS equal panels of
-# width w span the truncated support; around each breakpoint c the edges
-# c +- w * GRADING_RATIO**j, j = 1..GRADING_LEVELS, resolve features down to
-# about 2e-8 * w, such as the adaptive-soft law at one dof next to its atom.
+# The composite rule of :func:`rho_average`.  BASE_PANELS equal panels span
+# the truncated support; with bisection they resolve features whose width
+# does not scale with the breakpoint, such as the rise of width 1/b in the
+# hard law at threshold b past its jump.  Each breakpoint c adds the ladder of
+# edges |c| / GRADING_RATIO**j, j = 0..GRADING_LEVELS, outward from c, which
+# resolves a feature at the scale of c itself, such as the adaptive-soft law
+# at one dof next to its atom, where c is near 1e-10.
 BASE_PANELS = 6
 GRADING_RATIO = 0.2
 GRADING_LEVELS = 11
@@ -199,13 +202,13 @@ def _paired_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rule
 
 
-def integrate_panels(f: Callable, edges: np.ndarray, tol: float,
-                     weight: Callable | None = None) -> np.ndarray:
-    """The integral of weight(s) * f(i, s) over row i of ``edges``, for every
-    row i, each to absolute tolerance ``tol``.
+def integrate_panels(f: Callable, edges: np.ndarray, tol: float) -> np.ndarray:
+    """The integral of f(i, s) over row i of ``edges``, for every row i, each
+    to absolute tolerance ``tol``.
 
-    Row i of the 2-d ``edges`` holds the sorted edges of its panels.  Every
-    panel is integrated by the Gauss-Legendre rules with RULE_NODES and
+    Row i of the 2-d ``edges`` holds the sorted edges of its panels; an empty
+    panel, between two equal edges, is skipped.  Every other panel is
+    integrated by the Gauss-Legendre rules with RULE_NODES and
     2 * RULE_NODES nodes.  A panel is kept, with the second rule's value,
     where the two agree to ``tol`` times its share of its row's span; every
     other panel is bisected, up to MAX_BISECTIONS times and while the open
@@ -216,15 +219,17 @@ def integrate_panels(f: Callable, edges: np.ndarray, tol: float,
 
     ``f`` is called with the row of each panel in ``i``, of shape (p,), and
     the nodes of both rules on that panel in the same row of ``s``, of shape
-    (p, 3 * RULE_NODES), and must return values of the shape of ``s``;
-    ``weight`` (one when omitted) must be elementwise.  Panels are evaluated
-    in blocks of about BLOCK_ELEMENTS nodes.  A row's value does not depend
-    on the other rows.
+    (p, 3 * RULE_NODES), and must return values of the shape of ``s``.
+    Panels are evaluated in blocks of about BLOCK_ELEMENTS nodes.  A row's
+    value does not depend on the other rows.
     """
     t, w1, w2 = _paired_rule(RULE_NODES)
     rows = edges.shape[0]
     row = np.repeat(np.arange(rows), edges.shape[1] - 1)
     left, right = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    # an empty panel would add +0.0, so it is not evaluated
+    full = left != right
+    row, left, right = row[full], left[full], right[full]
     span = edges[:, -1] - edges[:, 0]
     total, chunk = np.zeros(rows), max(1, BLOCK_ELEMENTS // t.size)
     for level in range(MAX_BISECTIONS + 1):
@@ -233,8 +238,7 @@ def integrate_panels(f: Callable, edges: np.ndarray, tol: float,
         for j in range(0, row.size, chunk):
             part = slice(j, j + chunk)
             s = left[part, None] + width[part, None] * t
-            weighted = width[part, None] * weight(s) if weight is not None else width[part, None]
-            weighted = weighted * f(row[part], s)
+            weighted = width[part, None] * f(row[part], s)
             sums[:, part] = ((weighted[:, :RULE_NODES] * w1).sum(axis=1),
                              (weighted[:, RULE_NODES:] * w2).sum(axis=1))
         # the gap between the two rules, scaled from the panel to its whole row
@@ -266,9 +270,10 @@ def rho_average(m: int, f: Callable, x, breakpoints) -> np.ndarray:
     ``s`` of shape (p, q).  Row i of ``breakpoints`` lists the points in s
     where ``f(x_i, .)`` jumps or turns sharply.  Point i gets its own panels
     on the truncated support: BASE_PANELS equal ones, plus edges graded
-    geometrically toward each of its breakpoints from both sides.  Those
-    panels are chosen before any error estimate; :func:`integrate_panels`
-    then bisects the ones whose two rules disagree.
+    geometrically outward from each breakpoint c, at |c| / GRADING_RATIO**j.
+    Edges past the support are clipped to it, and the empty panels they
+    leave are skipped.  Those panels are chosen before any error estimate;
+    :func:`integrate_panels` then bisects the ones whose two rules disagree.
     """
     m = _check_dof(m)
     x = np.asarray(x, dtype=float).ravel()
@@ -277,10 +282,9 @@ def rho_average(m: int, f: Callable, x, breakpoints) -> np.ndarray:
     brk = np.asarray(breakpoints, dtype=float).reshape(x.size, -1)
     lo, hi = rho_support(m)
     base = np.linspace(lo, hi, BASE_PANELS + 1)
-    steps = (hi - lo) / BASE_PANELS * GRADING_RATIO ** np.arange(1, GRADING_LEVELS + 1)
-    offsets = np.concatenate([-steps[::-1], [0.0], steps])
+    ladder = GRADING_RATIO ** -np.arange(GRADING_LEVELS + 1)
     edges = np.concatenate([np.broadcast_to(base, (x.size, base.size)),
-                            (brk[:, :, None] + offsets).reshape(x.size, -1)], axis=1)
+                            (np.abs(brk)[:, :, None] * ladder).reshape(x.size, -1)], axis=1)
     edges = np.sort(np.clip(edges, lo, hi), axis=1)
-    return integrate_panels(lambda i, s: f(x[i, None], s), edges, DEFAULT_TOL,
-                            lambda s: np.exp(_log_rho(m, s)))
+    return integrate_panels(lambda i, s: f(x[i, None], s) * np.exp(_log_rho(m, s)), edges,
+                            DEFAULT_TOL)

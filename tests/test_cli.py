@@ -88,6 +88,20 @@ class TestSelprob:
         error = json.loads(err)
         assert error["exit_code"] == 2 and "--n" in error["error"]
 
+    @pytest.mark.parametrize("argv,field", [
+        (["dist", "--kind", "hard", "--n", "8", "--xi", "0"], "xi"),
+        (["dist", "--kind", "hard", "--n", "0"], "n"),
+        (["dist", "--kind", "hard", "--n", "8", "--eta", "0", "--alpha", "inverse-xi-eta"], "eta"),
+        (["selprob", "--n", "-3"], "n"),
+    ], ids=["xi0", "n0", "eta0-inverse-xi-eta", "selprob-n-3"])
+    def test_bad_component_field_named(self, capsys, argv, field):
+        # the eta rule and the alpha presets divide by n, xi and eta, so the
+        # fields are checked before them
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        error = json.loads(err)
+        assert error["exit_code"] == 2 and error["error"].startswith(f"{field} must be")
+
     def test_regime_not_covered_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "selprob", "--limit", "--mode", "known",
                                "--e", "inf", "--zeta", "1", "--n", "1")
@@ -153,6 +167,15 @@ class TestDist:
         assert code == 0
         rows = json.loads(out)
         assert abs(rows[0]["atom_location"] + 3.0) <= 1e-12
+
+    def test_overflowing_points_named_once(self, capsys):
+        # alpha = 1e-320 scales the grid to +-inf: the error names the first
+        # such point, not the whole grid
+        code, out, err = run_cli(capsys, "dist", "--kind", "hard", "--n", "8",
+                                 "--alpha", "1e-320")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        error = json.loads(err)
+        assert error == {"error": "density argument must be finite, got -inf", "exit_code": 2}
 
 
 class TestLimitCommand:

@@ -446,6 +446,25 @@ class TestSmoothedLaws:
         assert abs(want - 0.10242829588189685509) <= 1e-16
         assert abs(fd.ac_density(fd.ADAPTIVE, fd.VarianceMode(1), spec, x) - want) <= 1e-10
 
+    @pytest.mark.parametrize("z,want", [(4.7, 0.9999988454241021), (5.4, 0.9999999703744853)])
+    def test_hard_rise_past_the_jump_against_mpmath(self, z, want):
+        # nu = 153.8 and b = sqrt(n) * eta = 100 at one dof.  Past the jump at
+        # s = (z + nu) / b the cdf rises as Phi(-nu + s*b), a feature of width
+        # 1/b that no ladder edge grades; the base panels and bisection
+        # resolve it.  The point z is its own standardized point
+        import mpmath
+
+        spec = fd.ComponentSpec(10 ** 8, 1.3, 0.02, 1.0, 0.01)
+        nu, b = spec.shift, 100.0
+        jump = (z + nu) / b
+
+        def known(s):
+            return mpmath.ncdf(z) if s * b < z + nu else mpmath.ncdf(-nu + s * b)
+
+        cuts = {jump, *(jump + k / b for k in (1, 3, 6, 12)), 3.0}
+        assert abs(mpmath_average(1, known, cuts) - want) <= 1e-16
+        assert abs(fd.cdf(fd.HARD, fd.VarianceMode(1), spec, z) - want) <= 1e-10
+
     @pytest.mark.parametrize("mode", [fd.KNOWN, M4], ids=["known", "m4"])
     def test_scalar_and_array_agree(self, mode):
         spec = spec8(1.5)

@@ -28,6 +28,11 @@ class TestDesignSpec:
             est.DesignSpec("II", 8, 4, c=-0.25)
         est.DesignSpec("II", 8, 4, c=-0.24)
 
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_variant_ii_c_must_be_finite(self, c):
+        with pytest.raises(ValueError, match="finite c"):
+            est.DesignSpec("II", 8, 4, c=c)
+
 
 class TestMakeDesign:
     def test_variant_i_gram_identity(self):
@@ -93,6 +98,19 @@ class TestXiValues:
             est.xi_values(X)
 
 
+class TestRegressionData:
+    @pytest.mark.parametrize("where", ["X", "Y"])
+    def test_non_finite_data_rejected(self, where):
+        X, Y = np.eye(4, 2) + 1.0, np.ones(4)
+        (X if where == "X" else Y)[1] = math.nan
+        with pytest.raises(ValueError, match=f"{where} must be finite"):
+            est.RegressionData(X, Y)
+
+    def test_xi_values_rejects_non_finite_design(self):
+        with pytest.raises(ValueError, match="X must be finite"):
+            est.xi_values(np.array([[1.0, 0.0], [0.0, math.inf]]))
+
+
 class TestLeastSquares:
     def test_noiseless_recovery(self):
         rng = np.random.default_rng(2)
@@ -141,6 +159,16 @@ class TestThresholdEstimate:
             assert 0.0 <= s <= a <= h <= ls
         else:
             assert ls <= h <= a <= s <= 0.0
+
+    @pytest.mark.parametrize("kind", fd.KINDS)
+    @pytest.mark.parametrize("bad", [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0)])
+    def test_nan_or_negative_threshold_rejected(self, kind, bad):
+        # a NaN threshold would compare false and delete the coordinate
+        scale, eta = bad
+        with pytest.raises(ValueError, match="threshold"):
+            est.threshold_estimate(kind, 1.0, scale, 1.0, eta)
+        with pytest.raises(ValueError, match="threshold"):
+            est.threshold_estimate(kind, np.ones(3), np.array([1.0, scale, 1.0]), 1.0, eta)
 
     def test_sign_zero_convention(self):
         assert est.threshold_estimate("soft", 0.0, 1.0, 1.0, 0.5) == 0.0

@@ -463,6 +463,13 @@ class TestTvDistance:
         want = stats.norm.cdf(0.5) - stats.norm.cdf(0.3)
         assert abs(lm.tv_distance(a, b) - want) <= lm.TV_TOL
 
+    @pytest.mark.parametrize("window", [(12.0, -12.0), (1.0, 1.0), (-math.inf, 12.0),
+                                        (-12.0, math.inf), (math.nan, 12.0)])
+    def test_bad_window_rejected(self, window):
+        # a reversed or empty window would read 0.0, an infinite one NaN nodes
+        with pytest.raises(ValueError, match="window"):
+            lm.tv_distance(lm.StdNormal(), lm.ShiftedNormal(0.5), window=window)
+
     def test_atom_location_mismatch_rejected(self):
         a, b = lm.PointMass(0.0), lm.PointMass(1.0)
         with pytest.raises(ValueError):

@@ -117,6 +117,27 @@ class TestRho:
         assert time.perf_counter() - start < 1.0
         assert exc.value.error > 1e-10
 
+    def test_empty_panels_are_skipped(self):
+        # repeated edges leave empty panels, which the rules never see
+        def f(i, s):
+            assert np.all(s.max(axis=1) > s.min(axis=1))
+            return np.ones_like(s)
+
+        edges = np.array([[0.0, 0.0, 1.0, 1.0, 2.0], [0.0, 0.5, 0.5, 0.5, 1.0]])
+        assert np.allclose(sf.integrate_panels(f, edges, 1e-10), [2.0, 1.0], rtol=0.0, atol=1e-14)
+
+    def test_rho_average_mesh(self, monkeypatch):
+        # the base panels plus one outward ladder |c| / GRADING_RATIO**j per
+        # breakpoint c, clipped to the support
+        seen = []
+        monkeypatch.setattr(sf, "integrate_panels", lambda f, edges, tol: seen.append(edges))
+        m, c = 4, -0.013
+        sf.rho_average(m, lambda x, s: np.ones_like(s), 0.0, [[c]])
+        lo, hi = sf.rho_support(m)
+        ladder = abs(c) / sf.GRADING_RATIO ** np.arange(sf.GRADING_LEVELS + 1)
+        want = np.concatenate([np.linspace(lo, hi, sf.BASE_PANELS + 1), ladder])
+        assert np.allclose(seen[0][0], np.sort(np.clip(want, lo, hi)), rtol=1e-15, atol=0.0)
+
 
 class TestChiSquareTail:
     def test_full_mass_at_zero(self):
