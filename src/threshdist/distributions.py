@@ -149,6 +149,8 @@ class ComponentSpec:
                 raise ValueError(f"{name} must be a finite {kind}, got {given!r}")
             if v is not given:
                 object.__setattr__(self, name, v)
+        if math.isinf(math.sqrt(n) / self.xi / self.alpha):
+            raise ValueError(f"alpha must keep sqrt(n) / (xi * alpha) finite, got {self.alpha!r}")
 
     # shorthands used throughout the formulas
     @property
@@ -402,9 +404,7 @@ def _standardized(spec: ComponentSpec, x):
     x = _as_points(x)
     if isinstance(x, float):
         return -spec.shift if x == spec.atom_location else spec.standardized(x)
-    # a tiny alpha overflows x' to +-inf, as float division does for a scalar
-    with np.errstate(over="ignore"):
-        return np.where(x == spec.atom_location, -spec.shift, spec.standardized(x))
+    return np.where(x == spec.atom_location, -spec.shift, spec.standardized(x))
 
 
 def deletion_probability(spec: ComponentSpec, mode: VarianceMode = KNOWN) -> float:

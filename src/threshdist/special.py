@@ -44,13 +44,12 @@ DEFAULT_TOL = 1e-10
 #: total rho-mass allowed outside the truncated integration interval
 SUPPORT_TAIL_MASS = 1e-14
 
-# The composite rule of :func:`rho_average`.  BASE_PANELS equal panels span
-# the truncated support; with bisection they resolve features whose width
-# does not scale with the breakpoint, such as the rise of width 1/b in the
-# hard law at threshold b past its jump.  Each breakpoint c adds the ladder of
-# edges |c| / GRADING_RATIO**j, j = 0..GRADING_LEVELS, outward from c, which
-# resolves a feature at the scale of c itself, such as the adaptive-soft law
-# at one dof next to its atom, where c is near 1e-10.
+# The composite rule of :func:`rho_average`.  BASE_PANELS equal panels of
+# width w span the truncated support; around each breakpoint c the edges
+# c +- w * GRADING_RATIO**j, j = 1..GRADING_LEVELS, resolve features down to
+# about 2e-8 * w on either side of c, such as the rise and the bump of width
+# 1/b next to c in the hard and soft laws at threshold b, and the
+# adaptive-soft law at one dof next to its atom.
 BASE_PANELS = 6
 GRADING_RATIO = 0.2
 GRADING_LEVELS = 11
@@ -225,11 +224,9 @@ def integrate_panels(f: Callable, edges: np.ndarray, tol: float) -> np.ndarray:
     """
     t, w1, w2 = _paired_rule(RULE_NODES)
     rows = edges.shape[0]
-    row = np.repeat(np.arange(rows), edges.shape[1] - 1)
-    left, right = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     # an empty panel would add +0.0, so it is not evaluated
-    full = left != right
-    row, left, right = row[full], left[full], right[full]
+    full = edges[:, :-1] != edges[:, 1:]
+    row, left, right = np.nonzero(full)[0], edges[:, :-1][full], edges[:, 1:][full]
     span = edges[:, -1] - edges[:, 0]
     total, chunk = np.zeros(rows), max(1, BLOCK_ELEMENTS // t.size)
     for level in range(MAX_BISECTIONS + 1):
@@ -270,9 +267,9 @@ def rho_average(m: int, f: Callable, x, breakpoints) -> np.ndarray:
     ``s`` of shape (p, q).  Row i of ``breakpoints`` lists the points in s
     where ``f(x_i, .)`` jumps or turns sharply.  Point i gets its own panels
     on the truncated support: BASE_PANELS equal ones, plus edges graded
-    geometrically outward from each breakpoint c, at |c| / GRADING_RATIO**j.
-    Edges past the support are clipped to it, and the empty panels they
-    leave are skipped.  Those panels are chosen before any error estimate;
+    geometrically toward each of its breakpoints from both sides.  Edges
+    past the support are clipped to it, and the empty panels they leave are
+    skipped.  Those panels are chosen before any error estimate;
     :func:`integrate_panels` then bisects the ones whose two rules disagree.
     """
     m = _check_dof(m)
@@ -282,9 +279,10 @@ def rho_average(m: int, f: Callable, x, breakpoints) -> np.ndarray:
     brk = np.asarray(breakpoints, dtype=float).reshape(x.size, -1)
     lo, hi = rho_support(m)
     base = np.linspace(lo, hi, BASE_PANELS + 1)
-    ladder = GRADING_RATIO ** -np.arange(GRADING_LEVELS + 1)
+    steps = (hi - lo) / BASE_PANELS * GRADING_RATIO ** np.arange(1, GRADING_LEVELS + 1)
+    offsets = np.concatenate([-steps[::-1], [0.0], steps])
     edges = np.concatenate([np.broadcast_to(base, (x.size, base.size)),
-                            (np.abs(brk)[:, :, None] * ladder).reshape(x.size, -1)], axis=1)
+                            (brk[:, :, None] + offsets).reshape(x.size, -1)], axis=1)
     edges = np.sort(np.clip(edges, lo, hi), axis=1)
     return integrate_panels(lambda i, s: f(x[i, None], s) * np.exp(_log_rho(m, s)), edges,
                             DEFAULT_TOL)

@@ -168,14 +168,14 @@ class TestDist:
         rows = json.loads(out)
         assert abs(rows[0]["atom_location"] + 3.0) <= 1e-12
 
-    def test_overflowing_points_named_once(self, capsys):
-        # alpha = 1e-320 scales the grid to +-inf: the error names the first
-        # such point, not the whole grid
+    def test_overflowing_alpha_named_once(self, capsys):
+        # alpha = 1e-320 would scale the grid to +-inf: the error names alpha,
+        # not the whole grid
         code, out, err = run_cli(capsys, "dist", "--kind", "hard", "--n", "8",
                                  "--alpha", "1e-320")
         assert code == 2 and out == "" and err.count("\n") == 1
         error = json.loads(err)
-        assert error == {"error": "density argument must be finite, got -inf", "exit_code": 2}
+        assert error["exit_code"] == 2 and error["error"].startswith("alpha must")
 
 
 class TestLimitCommand:

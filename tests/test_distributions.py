@@ -35,6 +35,9 @@ class TestComponentSpec:
                 fd.ComponentSpec(**kw)
         with pytest.raises(ValueError):
             fd.VarianceMode.unknown_sigma(0)
+        # a subnormal alpha would send every standardized point to +-inf
+        with pytest.raises(ValueError, match="alpha must"):
+            fd.ComponentSpec(n=8, xi=1.0, theta=0.0, sigma=1.0, eta=0.5, alpha=1e-320)
 
     def test_numpy_integers_coerced(self):
         s = fd.ComponentSpec(n=np.int64(8), xi=1.0, theta=0.5, sigma=1.0, eta=ETA8)
@@ -148,6 +151,11 @@ class TestCdf:
             for mode in (fd.KNOWN, M4):
                 with pytest.raises(ValueError):
                     fd.cdf(kind, mode, spec8(0.5), math.nan)
+
+    def test_first_bad_density_point_named(self):
+        mix = fd.as_mixture(fd.HARD, fd.KNOWN, spec8(0.5))
+        with pytest.raises(ValueError, match=r"must be finite, got inf$"):
+            mix.ac_density(np.array([0.0, math.inf, math.nan, -math.inf]))
 
 
 class TestDensity:
@@ -450,8 +458,7 @@ class TestSmoothedLaws:
     def test_hard_rise_past_the_jump_against_mpmath(self, z, want):
         # nu = 153.8 and b = sqrt(n) * eta = 100 at one dof.  Past the jump at
         # s = (z + nu) / b the cdf rises as Phi(-nu + s*b), a feature of width
-        # 1/b that no ladder edge grades; the base panels and bisection
-        # resolve it.  The point z is its own standardized point
+        # 1/b.  The point z is its own standardized point
         import mpmath
 
         spec = fd.ComponentSpec(10 ** 8, 1.3, 0.02, 1.0, 0.01)
@@ -464,6 +471,54 @@ class TestSmoothedLaws:
         cuts = {jump, *(jump + k / b for k in (1, 3, 6, 12)), 3.0}
         assert abs(mpmath_average(1, known, cuts) - want) <= 1e-16
         assert abs(fd.cdf(fd.HARD, fd.VarianceMode(1), spec, z) - want) <= 1e-10
+
+    @pytest.mark.parametrize("m,want", [(1, 0.5667968682312036), (4, 0.5305377774884578)])
+    def test_hard_rise_at_a_large_threshold_against_mpmath(self, m, want):
+        # nu = 1.5e4 and b = sqrt(n) * eta = 1e4.  At x = 0 the cdf is 1/2
+        # below the jump at s = nu / b = 1.5 and Phi(-nu + s*b) above it: a
+        # rise of width 1e-4 that only edges graded toward the jump from its
+        # right let the rules see.  The point x is its own standardized point
+        import mpmath
+
+        spec = fd.ComponentSpec(10 ** 8, 1.0, 1.5, 1.0, 1.0)
+        nu, b = 1.5e4, 1e4
+
+        def known(s):
+            return mpmath.mpf(0.5) if s * b < nu else mpmath.ncdf(-nu + s * b)
+
+        cuts = {nu / b + k / b for k in (0, 1, 3, 6, 12)}
+        assert abs(mpmath_average(m, known, cuts) - want) <= 1e-16
+        assert abs(fd.cdf(fd.HARD, fd.VarianceMode(m), spec, 0.0) - want) <= 1e-10
+
+    @pytest.mark.parametrize("m,want", [(1, 0.13361440448048006), (4, 0.06109948695919081)])
+    def test_deletion_at_a_large_threshold_against_mpmath(self, m, want):
+        # nu = 1.5e4 and b = 1e4: the known-variance atom weight
+        # Phi(-nu + s*b) - Phi(-nu - s*b) rises over a width of 1e-4 around
+        # s = nu / b = 1.5
+        import mpmath
+
+        spec = fd.ComponentSpec(10 ** 8, 1.0, 1.5, 1.0, 1.0)
+        nu, b = 1.5e4, 1e4
+
+        def known(s):
+            return mpmath.ncdf(-nu + s * b) - mpmath.ncdf(-nu - s * b)
+
+        cuts = {1.5 + k / b for k in (-12, -6, -3, -1, 0, 1, 3, 6, 12)}
+        assert abs(mpmath_average(m, known, cuts) - want) <= 1e-16
+        assert abs(fd.deletion_probability(spec, fd.VarianceMode(m)) - want) <= 1e-10
+
+    @pytest.mark.parametrize("m,want", [(1, 4.8394144903828666e-05), (4, 0.00010826822334124344)])
+    def test_soft_bump_at_a_large_threshold_against_mpmath(self, m, want):
+        # nu = 1.5e4 and b = 1e4.  At x = -1e4 the known-variance soft density
+        # is phi(x + s*b), a bump of width 1e-4 around s = |x| / b = 1 that
+        # only edges graded toward it from both sides let the rules see
+        import mpmath
+
+        spec = fd.ComponentSpec(10 ** 8, 1.0, 1.5, 1.0, 1.0)
+        x, b = -1e4, 1e4
+        cuts = {1.0 + k / b for k in (-12, -6, -3, -1, 0, 1, 3, 6, 12)}
+        assert abs(mpmath_average(m, lambda s: mpmath.npdf(x + s * b), cuts) - want) <= 1e-16
+        assert abs(fd.ac_density(fd.SOFT, fd.VarianceMode(m), spec, x) - want) <= 1e-10
 
     @pytest.mark.parametrize("mode", [fd.KNOWN, M4], ids=["known", "m4"])
     def test_scalar_and_array_agree(self, mode):

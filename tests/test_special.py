@@ -127,16 +127,18 @@ class TestRho:
         assert np.allclose(sf.integrate_panels(f, edges, 1e-10), [2.0, 1.0], rtol=0.0, atol=1e-14)
 
     def test_rho_average_mesh(self, monkeypatch):
-        # the base panels plus one outward ladder |c| / GRADING_RATIO**j per
-        # breakpoint c, clipped to the support
+        # the base panels of width w plus the edges c +- w * GRADING_RATIO**j
+        # graded toward each breakpoint c from both sides, clipped to the
+        # support
         seen = []
         monkeypatch.setattr(sf, "integrate_panels", lambda f, edges, tol: seen.append(edges))
-        m, c = 4, -0.013
+        m, c = 4, 0.013
         sf.rho_average(m, lambda x, s: np.ones_like(s), 0.0, [[c]])
         lo, hi = sf.rho_support(m)
-        ladder = abs(c) / sf.GRADING_RATIO ** np.arange(sf.GRADING_LEVELS + 1)
-        want = np.concatenate([np.linspace(lo, hi, sf.BASE_PANELS + 1), ladder])
-        assert np.allclose(seen[0][0], np.sort(np.clip(want, lo, hi)), rtol=1e-15, atol=0.0)
+        base = np.linspace(lo, hi, sf.BASE_PANELS + 1)
+        steps = (base[1] - base[0]) * sf.GRADING_RATIO ** np.arange(1, sf.GRADING_LEVELS + 1)
+        want = np.sort(np.clip(np.concatenate([base, [c], c - steps, c + steps]), lo, hi))
+        assert np.allclose(seen[0][0], want, rtol=1e-15, atol=0.0)
 
 
 class TestChiSquareTail:
