@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import re
 import sys
 from dataclasses import replace
 
@@ -34,14 +34,9 @@ GRID_RANGE = (-6.0, 6.0)
 
 # one compact line of strict JSON; an indent would select the pure-Python encoder
 _JSON = json.JSONEncoder(allow_nan=False)
-
-
-def _ext_float(text: str) -> float:
-    """Float arguments accepting inf / -inf spellings."""
-    val = float(text)
-    if math.isnan(val):
-        raise argparse.ArgumentTypeError("NaN is not a valid value")
-    return val
+# a token argparse reads as a value, not an option: -1e-3, -inf, -1.5,2 as well
+# as its own -1 and -.5
+_NEGATIVE_NUMBER = re.compile(r"^-(\.?\d|inf)", re.IGNORECASE)
 
 
 def _emit(rows, fmt: str, out: str | None) -> None:
@@ -74,13 +69,19 @@ def _resolve_eta(args, n: int) -> float:
     return default_eta(n) if args.eta is None else args.eta
 
 
+def _dof_from_args(args):
+    if args.mode == "known" and args.dof is not None:
+        raise ValueError("--dof applies only with --mode unknown")
+    return args.dof
+
+
 def _mode_from_args(args) -> fd.VarianceMode:
+    dof = _dof_from_args(args)
     if args.mode == "known":
         return fd.VarianceMode.known_sigma()
-    if args.dof is None:
+    if dof is None:
         raise ValueError("--mode unknown requires --dof")
     # selprob reads --dof as a float so that --limit can take inf
-    dof = args.dof
     if isinstance(dof, float) and dof.is_integer():
         dof = int(dof)
     return fd.VarianceMode.unknown_sigma(dof)
@@ -119,8 +120,8 @@ def _cmd_dist(args) -> int:
 
 
 def _regime_from_args(args) -> lm.RegimeParams:
-    return lm.RegimeParams(e=args.e, nu=args.nu, zeta=args.zeta, r=args.r,
-                           d=args.d, r_prime=args.r_prime, w=args.w, dof=args.dof)
+    return lm.RegimeParams(e=args.e, nu=args.nu, zeta=args.zeta, r=args.r, d=args.d,
+                           r_prime=args.r_prime, w=args.w, dof=_dof_from_args(args))
 
 
 def _cmd_selprob(args) -> int:
@@ -235,13 +236,13 @@ def _add_component_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_regime_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--e", type=_ext_float)
-    p.add_argument("--nu", type=_ext_float)
-    p.add_argument("--zeta", type=_ext_float)
-    p.add_argument("--r", type=_ext_float)
-    p.add_argument("--d", type=_ext_float)
-    p.add_argument("--r-prime", type=_ext_float)
-    p.add_argument("--w", type=_ext_float)
+    p.add_argument("--e", type=float)
+    p.add_argument("--nu", type=float)
+    p.add_argument("--zeta", type=float)
+    p.add_argument("--r", type=float)
+    p.add_argument("--d", type=float)
+    p.add_argument("--r-prime", type=float)
+    p.add_argument("--w", type=float)
 
 
 def _add_design_flags(p: argparse.ArgumentParser) -> None:
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selprob", help="deletion probability, finite or limiting")
     _add_component_flags(p)
     p.add_argument("--mode", choices=["known", "unknown"], default="known")
-    p.add_argument("--dof", type=_ext_float, help="residual dof (int, or inf in --limit mode)")
+    p.add_argument("--dof", type=float, help="residual dof (int, or inf in --limit mode)")
     p.add_argument("--limit", action="store_true", help="limiting value from regime parameters")
     _add_regime_flags(p)
     _add_output_flags(p)
@@ -283,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limit", help="emit a limit-distribution cdf grid")
     p.add_argument("--kind", choices=list(fd.KINDS), required=True)
     p.add_argument("--mode", choices=["known", "unknown"], default="known")
-    p.add_argument("--dof", type=_ext_float)
+    p.add_argument("--dof", type=float)
     p.add_argument("--oracle", action="store_true",
                    help="sqrt(n)/xi scaling under consistent tuning")
     _add_regime_flags(p)
@@ -325,6 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checks", nargs="*", help="subset of check names (default: all)")
     p.set_defaults(fn=_cmd_selfcheck)
 
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -267,7 +267,7 @@ class _Conservative(MixtureDistribution):
 
     @property
     def atom_location(self) -> Optional[float]:
-        return -self.nu if math.isfinite(self.nu) else None
+        return 0.0 - self.nu if math.isfinite(self.nu) else None
 
 
 class ExcisedNormal(_Conservative):

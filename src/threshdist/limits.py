@@ -19,12 +19,17 @@ over s ~ rho_m by :func:`special.rho_average`.  These families live in
 (nu, e) = (shift, sqrt(n)*eta).  Every family in the catalog is a
 :class:`LimitDistribution`, the atom-plus-density protocol of
 :mod:`distributions` (``MixtureDistribution``).
+
+Under consistent tuning at fixed dof m, the soft and adaptive limits
+(:class:`SoftChiFold`, :class:`AdaptiveChiCdf`) share one chi-square atom:
+the coordinate is deleted with limiting probability Pr(chi2_m > m*zeta^2),
+and that mass sits at -zeta.  No family puts its atom at -0.0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -119,15 +124,6 @@ class RegimeParams:
 
 
 @dataclass(frozen=True)
-class StdNormal(LimitDistribution):
-    def _cdf(self, x):
-        return sf.normal_cdf(x)
-
-    def _density(self, x):
-        return sf.normal_pdf(x)
-
-
-@dataclass(frozen=True)
 class PointMass(LimitDistribution):
     loc: float
 
@@ -140,7 +136,7 @@ class PointMass(LimitDistribution):
 
     @property
     def atom_location(self) -> float:
-        return self.loc
+        return self.loc + 0.0  # avoid -0.0
 
 
 @dataclass(frozen=True)
@@ -163,18 +159,32 @@ class TwoPointMixture(LimitDistribution):
 
     @property
     def atom_location(self) -> float:
-        return self.loc1
+        return self.loc1 + 0.0  # avoid -0.0
 
 
 @dataclass(frozen=True)
-class SoftChiFold(LimitDistribution):
-    """Consistent-tuning soft limit at fixed dof: chi-type density folded
-    against an atom at -zeta of weight Pr(chi2_m > m*zeta^2)."""
+class _ChiSquareAtom(LimitDistribution):
+    """Consistent-tuning limit at fixed dof m: the coordinate is deleted with
+    limiting probability Pr(chi2_m > m*zeta^2), and that mass sits at -zeta.
+    The weight is 0.0 at zeta = +-inf, where there is no atom."""
 
     zeta: float
     m: int
 
     density_jumps = (0.0,)
+
+    @property
+    def atom_weight(self) -> float:
+        return sf.chi_square_tail(self.m, self.m * self.zeta * self.zeta)
+
+    @property
+    def atom_location(self) -> Optional[float]:
+        return 0.0 - self.zeta if math.isfinite(self.zeta) else None
+
+
+class SoftChiFold(_ChiSquareAtom):
+    """Consistent-tuning soft limit at fixed dof: chi-type density folded
+    against the chi-square atom."""
 
     def _cdf(self, x):
         z = self.zeta
@@ -188,26 +198,11 @@ class SoftChiFold(LimitDistribution):
         return (np.where(x + self.zeta < 0.0, sf.rho_density(self.m, x), 0.0)
                 + np.where(x + self.zeta > 0.0, sf.rho_density(self.m, -x), 0.0))
 
-    @property
-    def atom_weight(self) -> float:
-        if math.isinf(self.zeta):
-            return 0.0
-        return sf.chi_square_tail(self.m, self.m * self.zeta * self.zeta)
 
-    @property
-    def atom_location(self) -> Optional[float]:
-        return -self.zeta if math.isfinite(self.zeta) else None
-
-
-@dataclass(frozen=True)
-class AdaptiveChiCdf(LimitDistribution):
+@dataclass(frozen=True)  # so that __init__ calls __post_init__
+class AdaptiveChiCdf(_ChiSquareAtom):
     """Consistent-tuning adaptive limit at fixed dof: chi-square tail cdf on
-    the interval between -zeta and 0, jump of Pr(chi2_m > m*zeta^2) at -zeta."""
-
-    zeta: float
-    m: int
-
-    density_jumps = (0.0,)
+    the interval between -zeta and 0 above the chi-square atom."""
 
     def __post_init__(self):
         if not (math.isfinite(self.zeta) and self.zeta != 0.0):
@@ -227,14 +222,6 @@ class AdaptiveChiCdf(LimitDistribution):
         t = a * abs(x * z)
         log_g = xlogy(a - 1.0, t) - t - gammaln(a)
         return np.where(inside, a * abs(z) * np.exp(log_g), 0.0)
-
-    @property
-    def atom_weight(self) -> float:
-        return sf.chi_square_tail(self.m, self.m * self.zeta * self.zeta)
-
-    @property
-    def atom_location(self) -> float:
-        return -self.zeta
 
 
 @dataclass(frozen=True)
@@ -283,6 +270,13 @@ class ShiftedNormal(LimitDistribution):
 
     def _density(self, x):
         return sf.normal_pdf(x + self.w)
+
+
+@dataclass(frozen=True)
+class StdNormal(ShiftedNormal):
+    """The standard normal: the shifted normal with w fixed at 0."""
+
+    w: float = field(default=0.0, init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -369,13 +363,9 @@ def limit_distribution(kind: str, mode: str, params: RegimeParams) -> LimitDistr
         return AdaptiveChiCdf(zeta, m)
 
     if kind == SOFT:
-        if zeta == 0.0:
-            return PointMass(0.0)
         return PointMass(-math.copysign(min(1.0, abs(zeta)), zeta))
     if abs(zeta) <= 1.0:
         return PointMass(-zeta)
-    if math.isinf(zeta):
-        return PointMass(0.0)
     return PointMass(-1.0 / zeta)
 
 

@@ -505,23 +505,23 @@ def study_replications_order_independent():
     assert np.array_equal(res.scaled_samples, res2.scaled_samples)
 
 
-def run(names=None, stream=None) -> int:
-    """Run the named checks (default: all).  Returns the number of failures."""
+def run(names=None) -> int:
+    """Run the named checks (default: all), reporting each on stdout.
+    Returns the number of failures."""
     import sys
-    stream = stream or sys.stdout
     selected = names or list(_CHECKS)
     failures = 0
     for name in selected:
         if name not in _CHECKS:
-            print(f"{name}: UNKNOWN CHECK", file=stream)
+            print(f"{name}: UNKNOWN CHECK")
             failures += 1
             continue
         try:
             _CHECKS[name]()
         except Exception as exc:  # noqa: BLE001 - report any failure
             failures += 1
-            print(f"{name}: FAIL ({exc})", file=stream)
-            traceback.print_exc(limit=1, file=stream)
+            print(f"{name}: FAIL ({exc})")
+            traceback.print_exc(limit=1, file=sys.stdout)
         else:
-            print(f"{name}: PASS", file=stream)
+            print(f"{name}: PASS")
     return failures

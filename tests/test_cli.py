@@ -188,6 +188,11 @@ class TestLimitCommand:
         weight = float(rows[0]["atom_weight"])
         assert abs(weight - sf.chi_square_tail(4, 4.0)) <= 1e-12
 
+    def test_zero_atom_is_positive_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "limit", "--kind", "hard", "--e", "1", "--nu", "0")
+        assert code == 0
+        assert {row["atom_location"] for row in parse_csv(out)} == {"0.0"}
+
     def test_escaping_family_reported(self, capsys):
         code, out, _ = run_cli(capsys, "limit", "--kind", "adaptive", "--oracle",
                                "--zeta", "-2", "--format", "json")
@@ -398,6 +403,51 @@ class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         assert run_cli(capsys, "rate", "--n", "4", "--xi", "1", "--eta", "1",
                        "--bogus", "2")[0] == 2
+
+    def test_unknown_flag_before_a_negative_number(self, capsys):
+        assert run_cli(capsys, "selprob", "--n", "8", "--bogus", "-1")[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["selprob", "--n", "8", "--dof", "4"],
+        ["selprob", "--limit", "--e", "1", "--nu", "0", "--dof", "4"],
+        ["dist", "--kind", "hard", "--n", "8", "--dof", "4"],
+        ["limit", "--kind", "hard", "--e", "1", "--nu", "0", "--dof", "4"],
+    ], ids=["selprob", "selprob-limit", "dist", "limit"])
+    def test_dof_needs_unknown_mode(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        error = json.loads(err)
+        assert error["exit_code"] == 2 and "--dof" in error["error"]
+
+    @pytest.mark.parametrize("argv, field", [
+        (["limit", "--kind", "hard", "--e", "nan"], "e"),
+        (["selprob", "--limit", "--e", "1", "--nu", "nan"], "nu"),
+    ], ids=["limit-e", "selprob-nu"])
+    def test_nan_regime_value_is_a_json_error(self, capsys, argv, field):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": f"{field} must not be NaN", "exit_code": 2}
+
+
+class TestNegativeValues:
+    """A value that starts with '-' is read as the value of the flag before it."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["selprob", "--n", "8", "--theta", "-1e-3"], "--theta"),
+        (["limit", "--kind", "hard", "--e", "1.5", "--nu", "-inf"], "--nu"),
+        (["limit", "--kind", "adaptive", "--mode", "unknown", "--dof", "4", "--e", "inf",
+          "--zeta", "-inf"], "--zeta"),
+        (["design", "--variant", "II", "--c", "-2e-1", "--n", "8", "--k", "4"], "--c"),
+        (["simulate", "--variant", "I", "--rho", "0.3", "--n", "8", "--k", "4",
+          "--theta", "-1.5,2,0,0", "--estimator", "soft", "--reps", "10", "--seed", "1"],
+         "--theta"),
+    ], ids=["exponent", "minus-inf", "adaptive-minus-inf", "design-exponent", "list"])
+    def test_same_as_equals_spelling(self, capsys, argv, flag):
+        i = argv.index(flag)
+        joined = argv[:i] + [f"{flag}={argv[i + 1]}"] + argv[i + 2:]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert run_cli(capsys, *joined) == (0, out, "")
 
 
 class TestJsonOutput:

@@ -182,6 +182,11 @@ class TestLimitFamilies:
             assert vals[0] <= 1e-8
             assert vals[-1] >= 1.0 - 1e-8
 
+    @pytest.mark.parametrize("zeta", [0.0, INF, -INF])
+    def test_adaptive_chi_family_needs_finite_nonzero_zeta(self, zeta):
+        with pytest.raises(ValueError, match="finite nonzero zeta"):
+            lm.AdaptiveChiCdf(zeta, 4)
+
     def test_smoothed_families_normalize(self):
         for fam in (lm.HardSmoothed(0.8, 1.5, 4), lm.SoftSmoothed(0.8, 1.5, 4),
                     lm.AdaptiveSmoothed(0.8, 1.5, 4)):
@@ -396,6 +401,19 @@ def test_case_table(call, expected):
         assert type(got) is type(expected) and got == expected
         if isinstance(got, lm.TwoPointMixture):
             assert abs(got.weight_at_loc1 - expected.weight_at_loc1) <= 1e-15
+
+
+@pytest.mark.parametrize("e", [1.5, INF])
+@pytest.mark.parametrize("kind", ["hard", "soft", "adaptive"])
+@pytest.mark.parametrize("mode, dof", [("known", None), ("unknown", 4), ("unknown", INF),
+                                       ("oracle", None)],
+                         ids=["known", "dof-4", "dof-inf", "oracle"])
+def test_no_atom_at_negative_zero(mode, dof, kind, e):
+    params = P(e=e, nu=0.0, zeta=0.0, dof=dof)
+    law = (lm.oracle_limit(kind, params) if mode == "oracle"
+           else lm.limit_distribution(kind, mode, params))
+    assert law.atom_location == 0.0
+    assert math.copysign(1.0, law.atom_location) == 1.0
 
 
 class TestUniformRate:
