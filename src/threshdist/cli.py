@@ -87,12 +87,16 @@ def _mode_from_args(args) -> fd.VarianceMode:
     return fd.VarianceMode.unknown_sigma(dof)
 
 
+def _given(value, default):
+    return default if value is None else value
+
+
 def _spec_from_args(args) -> fd.ComponentSpec:
     if args.n is None:
         raise ValueError("a finite-sample law requires --n")
     # the alpha presets divide by xi and eta, so they read a validated spec
-    spec = fd.ComponentSpec(n=args.n, xi=args.xi, theta=args.theta, sigma=args.sigma,
-                            eta=_resolve_eta(args, args.n))
+    spec = fd.ComponentSpec(n=args.n, xi=_given(args.xi, 1.0), theta=_given(args.theta, 0.0),
+                            sigma=_given(args.sigma, 1.0), eta=_resolve_eta(args, args.n))
     if args.alpha is None or args.alpha == "root-n-over-xi":
         return spec
     if args.alpha == "inverse-xi-eta":
@@ -124,7 +128,19 @@ def _regime_from_args(args) -> lm.RegimeParams:
                            r_prime=args.r_prime, w=args.w, dof=_dof_from_args(args))
 
 
+# the selprob flags that only the finite-sample path, or only the --limit
+# path, reads; a flag left out reads None (_spec_from_args supplies xi = 1,
+# theta = 0 and sigma = 1), so a given one shows.  --n is also taken, unused,
+# with --limit.
+_FINITE_ONLY = ("xi", "theta", "sigma", "eta", "eta_rule", "alpha")
+_LIMIT_ONLY = ("e", "nu", "zeta", "r", "d", "r_prime", "w")
+
+
 def _cmd_selprob(args) -> int:
+    for name in _FINITE_ONLY if args.limit else _LIMIT_ONLY:
+        if getattr(args, name) is not None:  # a flag that this path would ignore
+            raise ValueError(f"--{name.replace('_', '-')} does not apply "
+                             f"{'with' if args.limit else 'without'} --limit")
     if args.limit:
         params = _regime_from_args(args)
         value = lm.limit_selection_probability(params, args.mode)
@@ -227,9 +243,9 @@ def _cmd_selfcheck(args) -> int:
 
 def _add_component_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, help="sample size (required unless selprob --limit)")
-    p.add_argument("--xi", type=float, default=1.0)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--xi", type=float)
+    p.add_argument("--theta", type=float)
+    p.add_argument("--sigma", type=float)
     p.add_argument("--eta", type=float)
     p.add_argument("--eta-rule", choices=["default"])
     p.add_argument("--alpha", help="root-n-over-xi | inverse-xi-eta | <value>")

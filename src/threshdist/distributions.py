@@ -303,6 +303,7 @@ class SoftShiftNormal(_Conservative):
         return abs(side) * sf.normal_pdf(x + side * self.e)
 
 
+@dataclass(frozen=True)  # so that __init__ calls __post_init__
 class AdaptiveKnown(_Conservative):
     """Conservative-tuning law of the adaptive soft estimator, known sigma."""
 

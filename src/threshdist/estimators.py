@@ -9,6 +9,7 @@ comparison with 0.0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,10 @@ class DesignSpec:
     def __post_init__(self):
         if self.variant not in ("I", "II"):
             raise ValueError(f"variant must be 'I' or 'II', got {self.variant!r}")
+        for name in ("n", "k"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not (self.n >= 1 and 1 <= self.k <= self.n):
             raise ValueError(f"need 1 <= k <= n, got n={self.n}, k={self.k}")
         if self.variant == "I":
@@ -146,17 +151,34 @@ def psi_values(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", X, X) / n)
 
 
-def least_squares(data: RegressionData) -> tuple[np.ndarray, float | None]:
-    """Least-squares coefficients and the residual variance estimate.
+def _fit_rows(X: np.ndarray, pinv: np.ndarray, Y: np.ndarray, variance: bool):
+    """Least-squares fits pinv(X) y of the response rows y of ``Y`` and, if
+    ``variance``, their residual variances ||y - X theta_hat||^2 / (n - k)
+    (else None).
 
-    The variance estimate ||Y - X theta_hat||^2 / (n - k) is None when
-    n == k.
-    """
-    theta_hat, *_ = np.linalg.lstsq(data.X, data.Y, rcond=None)
-    if data.n == data.k:
+    einsum, unlike BLAS, works row by row in a fixed order, so a row's fit
+    is the same bits whatever the other rows of ``Y``.  The fitted values
+    contract with a contiguous X', whose long rows einsum runs fastest."""
+    theta_hat = np.einsum("rn,kn->rk", Y, pinv)
+    if not variance:
         return theta_hat, None
-    resid = data.Y - data.X @ theta_hat
-    return theta_hat, float(resid @ resid) / (data.n - data.k)
+    # fitted values, turned into residuals in place
+    resid = np.einsum("rk,kn->rn", theta_hat, np.ascontiguousarray(X.T))
+    np.subtract(Y, resid, out=resid)
+    return theta_hat, np.einsum("rn,rn->r", resid, resid) / (X.shape[0] - X.shape[1])
+
+
+def least_squares(data: RegressionData) -> tuple[np.ndarray, float | None]:
+    """Least-squares coefficients pinv(X) Y and the residual variance estimate.
+
+    The fit applies the SVD pseudo-inverse of X, so it loses digits as
+    cond(X), not cond(X)^2.  It is :func:`simulate.run_study`'s fit of one
+    replication, bit for bit.  The variance estimate ||Y - X theta_hat||^2 /
+    (n - k) is None when n == k.
+    """
+    theta_hat, var = _fit_rows(data.X, np.linalg.pinv(data.X), data.Y[None, :],
+                               data.n > data.k)
+    return theta_hat[0], None if var is None else float(var[0])
 
 
 def threshold_estimate(kind: str, ls, scale, xi, eta):

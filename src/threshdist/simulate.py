@@ -18,8 +18,15 @@ replication count, as every step works row by row in a fixed order.
 The study simulates responses from a fixed design, computes one of the
 five estimators (hard / soft / adaptive soft thresholding, lasso, adaptive
 lasso; each with estimated or known error standard deviation) and records
-the centered, scaled components ``sqrt(n) * (estimate_i - theta_i) /
-(sigma * xi_i)`` together with the exact proportion of zero outcomes.
+the centered, scaled components ``alpha_i * (estimate_i - theta_i) /
+sigma`` together with the exact proportion of zero outcomes.  A study is a
+batch of the public estimators: each replication's row equals
+:func:`replication_noise` -> ``RegressionData`` -> ``least_squares`` ->
+``threshold_estimate`` / ``lasso`` / ``adaptive_lasso`` of that replication
+alone, bit for bit.  Both fit by the SVD pseudo-inverse of X, which loses
+digits as cond(X), not cond(X)^2.  ``alpha_i = sqrt(n) / xi_i`` is read from
+component i's overlay, so a zero estimate lands exactly on the overlay's
+``atom_location``.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from . import special as sf
 from .distributions import (ADAPTIVE, HARD, KINDS, SOFT, ComponentSpec,
                             MixtureDistribution, VarianceMode, as_mixture,
                             with_atom_neighborhood)
-from .estimators import (DesignSpec, LassoConfig, _lasso_rows, make_design,
+from .estimators import (DesignSpec, LassoConfig, _fit_rows, _lasso_rows, make_design,
                          threshold_estimate, xi_values)
 
 __all__ = [
@@ -172,17 +179,6 @@ def _overlay(config: SimConfig, xi: np.ndarray) -> tuple:
     return tuple(mixes)
 
 
-def _histogram(scaled: np.ndarray, zero_mask: np.ndarray, reps: int):
-    edges = np.linspace(HIST_RANGE[0], HIST_RANGE[1], HIST_BINS + 1)
-    width = edges[1] - edges[0]
-    nonzero = scaled[~zero_mask]
-    outliers = int(np.sum((nonzero < HIST_RANGE[0]) | (nonzero > HIST_RANGE[1])))
-    clipped = np.clip(nonzero, HIST_RANGE[0] + 0.5 * width, HIST_RANGE[1] - 0.5 * width)
-    counts, _ = np.histogram(clipped, bins=edges)
-    heights = counts / (reps * width)
-    return edges, heights, outliers
-
-
 def run_study(config: SimConfig) -> SimResult:
     """Simulate the configured estimator; deterministic for a fixed seed."""
     design = config.design
@@ -193,16 +189,12 @@ def run_study(config: SimConfig) -> SimResult:
     eta = config.eta_value()
     reps = config.reps
 
-    # the replications stream through one block of response rows; einsum,
-    # unlike BLAS, keeps each row independent of the batch shape, so every
-    # row's results are the same bits whatever the block
+    # the replications stream through one block of response rows, fitted row
+    # by row, so every row's results are the same bits whatever the block
     mean = X @ theta
-    gram_inv = np.linalg.inv(X.T @ X)
-    proj = gram_inv @ X.T                       # (k, n)
-    xt = X.T.copy()
+    pinv = np.linalg.pinv(X)
     rows = min(reps, max(1, STREAM_ELEMENTS // n))
     Y = np.empty((rows, n))
-    resid = np.empty((rows, n))
     theta_ls = np.empty((reps, k))
     scale = np.empty(reps) if config.feasible else np.full(reps, config.sigma)
     for lo in range(0, reps, rows):
@@ -212,12 +204,9 @@ def run_study(config: SimConfig) -> SimResult:
         y = _fill_noise(Y[:hi - lo], config.seed, lo)
         y *= config.sigma
         y += mean
-        np.einsum("rn,kn->rk", y, proj, out=theta_ls[lo:hi])
+        theta_ls[lo:hi], var = _fit_rows(X, pinv, y, config.feasible)
         if config.feasible:
-            # fitted values, turned into residuals in place
-            r = np.einsum("rk,kn->rn", theta_ls[lo:hi], xt, out=resid[:hi - lo])
-            np.subtract(y, r, out=r)
-            scale[lo:hi] = np.sqrt(np.einsum("ij,ij->i", r, r) / (n - k))
+            scale[lo:hi] = np.sqrt(var)
 
     if config.estimator in KINDS:
         estimates = threshold_estimate(config.estimator, theta_ls,
@@ -227,19 +216,26 @@ def run_study(config: SimConfig) -> SimResult:
         cfg = LassoConfig.constant(eta) if adaptive else LassoConfig.eta_xi_inverse(eta)
         estimates = _lasso_rows(X, theta_ls, scale, cfg, adaptive)
 
-    scaled = math.sqrt(n) / config.sigma * (estimates - theta[None, :]) / xi[None, :]
+    # each overlay's own alpha, so that a zero lands on its atom_location
+    overlay = _overlay(config, xi)
+    alpha = np.array([mix.spec.alpha for mix in overlay])
+    scaled = alpha * (estimates - theta) / config.sigma
     zero_mask = estimates == 0.0
-    zero_prop = zero_mask.mean(axis=0)
 
-    heights = np.empty((k, HIST_BINS))
-    outliers = np.empty(k, dtype=int)
-    edges = None
-    for i in range(k):
-        edges, heights[i], outliers[i] = _histogram(scaled[:, i], zero_mask[:, i], reps)
+    # the nonzero outcomes of all k components, each clipped into the range
+    # and binned by the fixed edges in one pass
+    low, high = HIST_RANGE
+    edges = np.linspace(low, high, HIST_BINS + 1)
+    width = edges[1] - edges[0]
+    bins = np.searchsorted(edges, np.clip(scaled, low + 0.5 * width, high - 0.5 * width),
+                           side="right") - 1 + HIST_BINS * np.arange(k)
+    counts = np.bincount(bins[~zero_mask], minlength=k * HIST_BINS).reshape(k, HIST_BINS)
+    outliers = np.sum(~zero_mask & ((scaled < low) | (scaled > high)), axis=0)
 
-    return SimResult(config=config, xi=xi, zero_proportion=zero_prop,
-                     scaled_samples=scaled, hist_edges=edges, hist_heights=heights,
-                     outlier_count=outliers, overlay=_overlay(config, xi))
+    return SimResult(config=config, xi=xi, zero_proportion=zero_mask.mean(axis=0),
+                     scaled_samples=scaled, hist_edges=edges,
+                     hist_heights=counts / (reps * width), outlier_count=outliers,
+                     overlay=overlay)
 
 
 def sample_component(kind: str, mode: VarianceMode, spec: ComponentSpec,

@@ -102,6 +102,22 @@ class TestSelprob:
         error = json.loads(err)
         assert error["exit_code"] == 2 and error["error"].startswith(f"{field} must be")
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--n", "8", "--e", "1", "--nu", "0.3"], "--e"),
+        (["--n", "8", "--e", "nan"], "--e"),
+        (["--n", "8", "--theta", "0", "--r-prime", "1"], "--r-prime"),
+        *[(["--limit", "--e", "inf", "--zeta", "0.5", flag, value], flag)
+          for flag, value in (("--xi", "1"), ("--theta", "0"), ("--sigma", "1"),
+                              ("--eta", "0.5"), ("--eta-rule", "default"), ("--alpha", "2"))],
+    ])
+    def test_flag_of_the_other_path_refused(self, capsys, argv, flag):
+        # a regime flag without --limit, or a component flag with it, would
+        # be ignored, so it is refused
+        code, out, err = run_cli(capsys, "selprob", *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        error = json.loads(err)
+        assert error["exit_code"] == 2 and error["error"].startswith(f"{flag} ")
+
     def test_regime_not_covered_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "selprob", "--limit", "--mode", "known",
                                "--e", "inf", "--zeta", "1", "--n", "1")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy import linalg
 
 from threshdist import distributions as fd
 from threshdist import estimators as est
+from threshdist import simulate as mc
 
 
 def random_diagonal_design(rng, n, k):
@@ -32,6 +34,23 @@ class TestDesignSpec:
     def test_variant_ii_c_must_be_finite(self, c):
         with pytest.raises(ValueError, match="finite c"):
             est.DesignSpec("II", 8, 4, c=c)
+
+    @pytest.mark.parametrize("args, field", [
+        (("II", 8.0, 4), "n"), (("II", 8.5, 4), "n"), (("I", 8, 4.0), "k"),
+        (("II", "8", 4), "n"), (("II", 8, None), "k"),
+    ])
+    def test_n_and_k_must_be_integers(self, args, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            est.DesignSpec(*args, rho=0.3, c=0.2)
+
+    def test_numpy_integers_become_int(self, tmp_path):
+        spec = est.DesignSpec("II", np.int64(8), np.int32(4), c=0.2)
+        assert type(spec.n) is int and type(spec.k) is int
+        assert spec == est.DesignSpec("II", 8, 4, c=0.2)
+        config = mc.SimConfig(design=spec, theta=(1.0, 0.0, 0.0, 0.0), sigma=1.0,
+                              estimator="hard", reps=20, seed=1)
+        mc.write_study(mc.run_study(config), str(tmp_path / "study"))
+        assert json.loads((tmp_path / "study_meta.json").read_text())["design"]["n"] == 8
 
 
 class TestMakeDesign:

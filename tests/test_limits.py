@@ -187,6 +187,13 @@ class TestLimitFamilies:
         with pytest.raises(ValueError, match="finite nonzero zeta"):
             lm.AdaptiveChiCdf(zeta, 4)
 
+    @pytest.mark.parametrize("nu", [INF, -INF])
+    def test_adaptive_conservative_families_need_finite_nu(self, nu):
+        with pytest.raises(ValueError, match="defined for finite nu only"):
+            lm.AdaptiveKnown(nu, 1.0)
+        with pytest.raises(ValueError, match="defined for finite nu only"):
+            lm.AdaptiveSmoothed(nu, 1.0, 4)
+
     def test_smoothed_families_normalize(self):
         for fam in (lm.HardSmoothed(0.8, 1.5, 4), lm.SoftSmoothed(0.8, 1.5, 4),
                     lm.AdaptiveSmoothed(0.8, 1.5, 4)):

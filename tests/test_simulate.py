@@ -125,6 +125,49 @@ class TestDeterminism:
             for field in ("scaled_samples", "zero_proportion", "hist_heights", "outlier_count"):
                 assert np.array_equal(getattr(got, field), getattr(want, field)), (rows, field)
 
+    @pytest.mark.parametrize("feasible", [True, False])
+    @pytest.mark.parametrize("estimator", mc.ESTIMATORS)
+    def test_rows_equal_public_estimators(self, estimator, feasible):
+        # a study is a batch of the public pipeline: each row is its
+        # replication's noise -> RegressionData -> least_squares -> estimator,
+        # scaled by the overlay's alpha, bit for bit
+        design, theta, sigma, seed = est.DesignSpec("I", 8, 4, rho=0.5), np.array(THETA), 1.3, 21
+        res = mc.run_study(small_config(design=design, sigma=sigma, estimator=estimator,
+                                        feasible=feasible, reps=300, seed=seed))
+        X = est.make_design(design)
+        eta = mc.default_eta(8)
+        alpha = np.array([mix.spec.alpha for mix in res.overlay])
+        for rep in (0, 17, 299):
+            data = est.RegressionData(X, X @ theta + sigma * mc.replication_noise(seed, rep, 8))
+            ls, var = est.least_squares(data)
+            scale = math.sqrt(var) if feasible else sigma
+            if estimator in fd.KINDS:
+                estimate = est.threshold_estimate(estimator, ls, scale, est.xi_values(X), eta)
+            elif estimator == "lasso":
+                estimate = est.lasso(data, est.LassoConfig.eta_xi_inverse(eta), scale)
+            else:
+                estimate = est.adaptive_lasso(data, est.LassoConfig.constant(eta), scale)
+            assert np.array_equal(res.scaled_samples[rep], alpha * (estimate - theta) / sigma), rep
+
+    def test_ill_conditioned_fit_matches_lstsq(self):
+        # cond(X) = 2.5e7, which the rank check accepts; a fit through the
+        # Gram inverse would lose digits as cond(X)^2
+        n, sigma, seed, reps = 8, 1.0, 9, 200
+        design = est.DesignSpec("II", n, 4, c=-0.24999999)
+        X = est.make_design(design)
+        assert 2e7 < np.linalg.cond(X) < 3e7
+        res = mc.run_study(small_config(design=design, sigma=sigma, feasible=True, eta=1e-12,
+                                        reps=reps, seed=seed))
+        theta = np.array(THETA)
+        Y = X @ theta + sigma * np.stack([fresh_stream(seed, r, n) for r in range(reps)])
+        ls = np.linalg.lstsq(X, Y.T, rcond=None)[0].T
+        resid = Y - ls @ X.T
+        sigma_hat = np.sqrt(np.sum(resid * resid, axis=1) / (n - 4))
+        xi = est.xi_values(X)
+        estimate = np.where(np.abs(ls) > sigma_hat[:, None] * xi * 1e-12, ls, 0.0)
+        want = math.sqrt(n) / xi * (estimate - theta) / sigma
+        assert np.max(np.abs(res.scaled_samples - want)) <= 1e-12
+
 
 class TestRunStudy:
     def test_histogram_mass_accounting(self):
@@ -170,6 +213,20 @@ class TestRunStudy:
         assert np.array_equal(events["hard"], events["soft"])
         assert np.array_equal(events["hard"], events["adaptive"])
         assert events["hard"][:, 2].mean() == res["hard"].zero_proportion[2]
+
+    @pytest.mark.parametrize("feasible", [True, False])
+    @pytest.mark.parametrize("kind", fd.KINDS)
+    def test_zeros_sit_on_the_overlay_atom(self, kind, feasible):
+        # every exact zero maps onto its overlay's atom_location, bit for bit,
+        # so the empirical cdf jumps where the overlay's does
+        reps = 4000
+        for design in dict.fromkeys(d for _, d in mc.PANELS):  # the six panel designs
+            res = mc.run_study(mc.SimConfig(design=design, theta=mc.PANEL_THETA,
+                                            sigma=mc.PANEL_SIGMA, estimator=kind,
+                                            feasible=feasible, reps=reps, seed=11))
+            for i, mix in enumerate(res.overlay):
+                on_atom = int(np.sum(res.scaled_samples[:, i] == mix.atom_location))
+                assert on_atom == round(res.zero_proportion[i] * reps), (design, i)
 
 
 class TestEmpiricalMixedCdf:
