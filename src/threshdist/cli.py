@@ -46,16 +46,13 @@ def _emit(rows, fmt: str, out: str | None) -> None:
     if fmt == "json":
         text = _JSON.encode(rows) + "\n"
     else:
-        if not rows:
-            text = ""
-        else:
-            cols = list(rows[0])
-            lines = [",".join(cols)]
-            for row in rows:
-                lines.append(",".join(
-                    "nan" if v is None else repr(v) if isinstance(v, float) else str(v)
-                    for v in (row[c] for c in cols)))
-            text = "\n".join(lines) + "\n"
+        cols = list(rows[0])
+        lines = [",".join(cols)]
+        for row in rows:
+            lines.append(",".join(
+                "nan" if v is None else repr(v) if isinstance(v, float) else str(v)
+                for v in (row[c] for c in cols)))
+        text = "\n".join(lines) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)

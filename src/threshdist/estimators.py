@@ -100,6 +100,9 @@ def make_design(spec: DesignSpec) -> np.ndarray:
 def _check_full_rank(X: np.ndarray) -> None:
     if not np.isfinite(X).all():
         raise ValueError("design X must be finite")
+    if X.shape[0] < X.shape[1]:
+        raise SingularDesignError(f"design has n = {X.shape[0]} rows, fewer than its "
+                                  f"k = {X.shape[1]} columns")
     sv = np.linalg.svd(X, compute_uv=False)
     if sv[-1] <= RANK_RTOL * sv[0]:
         raise SingularDesignError(
@@ -118,8 +121,6 @@ class RegressionData:
         Y = np.asarray(self.Y, dtype=float).ravel()
         if X.ndim != 2 or X.shape[0] != Y.shape[0]:
             raise ValueError(f"shape mismatch: X {X.shape}, Y {Y.shape}")
-        if X.shape[0] < X.shape[1]:
-            raise ValueError("need n >= k")
         if not np.isfinite(Y).all():
             raise ValueError("response Y must be finite")
         _check_full_rank(X)

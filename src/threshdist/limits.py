@@ -81,10 +81,6 @@ def _need(value, name: str):
     return value
 
 
-def _phi_cdf(x: float) -> float:
-    return float(sf.normal_cdf(x))
-
-
 @dataclass(frozen=True)
 class RegimeParams:
     """Limits of the driving sequences (extended reals; None = not supplied).
@@ -240,7 +236,7 @@ class OracleHardBoundary(LimitDistribution):
 
     def _cdf(self, x):
         if self.zeta == 1.0:
-            return np.maximum(_phi_cdf(self.r), sf.normal_cdf(x))
+            return np.maximum(sf.normal_cdf(self.r), sf.normal_cdf(x))
         return sf.normal_cdf(np.minimum(x, -self.r))
 
     def _density(self, x):
@@ -258,7 +254,7 @@ class OracleHardBoundary(LimitDistribution):
     @property
     def total_mass(self) -> float:
         """Mass remaining on the real line; Phi(r) has escaped."""
-        return 1.0 - _phi_cdf(self.r)
+        return 1.0 - sf.normal_cdf(self.r)
 
 
 @dataclass(frozen=True)
@@ -328,8 +324,8 @@ def limit_selection_probability(params: RegimeParams, mode: str) -> float:
     # d = 0 for known sigma, and Phi(r') as d -> inf
     d = 0.0 if mode == "known" else _need(params.d, "d")
     if d == math.inf:
-        return _phi_cdf(_need(params.r_prime, "r_prime"))
-    return _phi_cdf(_need(params.r, "r") / math.hypot(1.0, d))
+        return sf.normal_cdf(_need(params.r_prime, "r_prime"))
+    return sf.normal_cdf(_need(params.r, "r") / math.hypot(1.0, d))
 
 
 def limit_distribution(kind: str, mode: str, params: RegimeParams) -> LimitDistribution:

@@ -47,7 +47,7 @@ def noncentral_t_identity():
     for m in (1, 2, 4, 16, 64):
         for a in (-2.0, -0.5, 0.0, 1.0, 1.5, 3.0):
             for b in (-2.0, -1.0, 0.0, 0.7, 2.0, 2.5):
-                lhs = sf.integrate_rho(m, lambda s: float(sf.normal_cdf(a + b * s)))
+                lhs = sf.integrate_rho(m, lambda s: sf.normal_cdf(a + b * s))
                 rhs = nctdtr(m, -a, b)
                 assert abs(lhs - rhs) <= 1e-8, f"(m,a,b)=({m},{a},{b}): {lhs} vs {rhs}"
 
@@ -154,7 +154,7 @@ def soft_unknown_closed_form_vs_quadrature():
             v = spec.standardized(float(x))
             sign = 1.0 if spec.offset(float(x)) >= 0.0 else -1.0
             closed = stats.nct.cdf(sign * b, m, -v)
-            quad = sf.integrate_rho(m, lambda s: float(sf.normal_cdf(v + sign * s * b)))
+            quad = sf.integrate_rho(m, lambda s: sf.normal_cdf(v + sign * s * b))
             assert max(abs(law - closed), abs(law - quad)) <= 1e-8, \
                 f"x={x}: {law} vs scipy nct {closed}, quadrature {quad}"
 
@@ -242,7 +242,7 @@ def smoothed_families_reduce_to_normal_at_e0():
     for family in (lm.HardSmoothed(1.0, 0.0, 4), lm.SoftSmoothed(1.0, 0.0, 4),
                    lm.AdaptiveSmoothed(1.0, 0.0, 4)):
         for x in grid:
-            assert abs(family.cdf(float(x)) - float(sf.normal_cdf(float(x)))) <= 1e-8
+            assert abs(family.cdf(float(x)) - sf.normal_cdf(float(x))) <= 1e-8
 
 
 @_check
@@ -484,7 +484,7 @@ def empirical_cdf_against_normal_draws():
     draws = gen.standard_normal(100_000)
     emp = mc.empirical_mixed_cdf(draws, 0.0)
     grid = np.linspace(-4.0, 4.0, 321)
-    ks = max(abs(emp(float(x)) - float(sf.normal_cdf(float(x)))) for x in grid)
+    ks = max(abs(emp(float(x)) - sf.normal_cdf(float(x))) for x in grid)
     assert ks <= 1.36 / math.sqrt(draws.size) * 1.5, ks
 
 

@@ -11,9 +11,12 @@ A study streams its replications through one block of about
 ``STREAM_ELEMENTS`` response values: each block of rows is drawn, fitted and
 reduced to its least-squares fits and residual scales before the next
 block reuses the buffer, so a study holds O(reps * k) memory, not a
-``(reps, n)`` response matrix.  The ``(seed, replication)`` streams and each
-replication's results are bit-identical whatever the block size and the
-replication count, as every step works row by row in a fixed order.
+``(reps, n)`` response matrix.  A lasso or adaptive-lasso study is the
+exception: each pass of its homotopy gathers a ``(reps, k, k)`` stack of
+Gram inverses, so it peaks at O(reps * k^2).  The ``(seed, replication)``
+streams and each replication's results are bit-identical whatever the
+block size and the replication count, as every step works row by row in a
+fixed order.
 
 The study simulates responses from a fixed design, computes one of the
 five estimators (hard / soft / adaptive soft thresholding, lasso, adaptive
@@ -35,12 +38,12 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import special as sf
-from .distributions import (ADAPTIVE, HARD, KINDS, SOFT, ComponentSpec,
+from .distributions import (ADAPTIVE, HARD, KINDS, KNOWN, SOFT, ComponentSpec,
                             MixtureDistribution, VarianceMode, as_mixture,
                             with_atom_neighborhood)
 from .estimators import (DesignSpec, LassoConfig, _fit_rows, _lasso_rows, make_design,
@@ -77,7 +80,7 @@ def default_eta(n: int) -> float:
     zero coefficient is deleted with known-variance probability 0.95."""
     if not n >= 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    return float(sf.normal_quantile(0.975)) / math.sqrt(n)
+    return sf.normal_quantile(0.975) / math.sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -245,13 +248,18 @@ def sample_component(kind: str, mode: VarianceMode, spec: ComponentSpec,
     Draws the least-squares coordinate N(theta, sigma^2 xi^2 / n) and, in
     unknown-variance mode, an independent sigma * sqrt(chi2_m/m), then
     thresholds.  Returns raw (unscaled) estimates.
+
+    The normals come from ``Philox(key=(seed, 0))`` and the chi-squares from
+    ``Philox(key=(seed, 1))``, one draw per replication in order, so the
+    first m replications of a run are those of an m-replication run.
     """
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    ls = spec.theta + spec.sigma * spec.xi / math.sqrt(spec.n) * gen.standard_normal(reps)
+    normal, chi2 = (np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
+                    for j in (0, 1))
+    ls = spec.theta + spec.sigma * spec.xi / math.sqrt(spec.n) * normal.standard_normal(reps)
     if mode.known:
         scale = np.full(reps, spec.sigma)
     else:
-        scale = spec.sigma * np.sqrt(gen.chisquare(mode.dof, reps) / mode.dof)
+        scale = spec.sigma * np.sqrt(chi2.chisquare(mode.dof, reps) / mode.dof)
     return threshold_estimate(kind, ls, scale, spec.xi, spec.eta)
 
 
@@ -370,24 +378,23 @@ def write_study(result: SimResult, prefix: str, **meta) -> list[str]:
     """
     config = result.config
     design = config.design
-    known_overlay = _overlay(replace(config, feasible=False), result.xi)
-    mids = 0.5 * (result.hist_edges[:-1] + result.hist_edges[1:])
+    edges = result.hist_edges
+    mids = 0.5 * (edges[:-1] + edges[1:])
     paths = []
-    for i, (mix, known) in enumerate(zip(result.overlay, known_overlay)):
-        density = mix.ac_density(mids)
-        known_density = known.ac_density(mids)
+    for i, mix in enumerate(result.overlay):
+        known = as_mixture(mix.kind, KNOWN, mix.spec)
+        # one (bins, 10) table; the constant columns broadcast down the bins
+        table = np.column_stack(np.broadcast_arrays(
+            edges[:-1], edges[1:], result.hist_heights[i], mids, mix.ac_density(mids),
+            known.ac_density(mids), mix.atom_location, mix.atom_weight, known.atom_weight,
+            result.zero_proportion[i]))
         path = f"{prefix}_comp{i + 1}.csv"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("bin_left,bin_right,hist_height,x,overlay_ac_density,"
                      "overlay_known_ac_density,overlay_atom_location,"
                      "overlay_atom_weight,overlay_known_atom_weight,"
                      "zero_proportion\n")
-            for j, x in enumerate(mids):
-                row = (result.hist_edges[j], result.hist_edges[j + 1],
-                       result.hist_heights[i, j], x, density[j], known_density[j],
-                       mix.atom_location, mix.atom_weight, known.atom_weight,
-                       result.zero_proportion[i])
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in table.tolist())
         paths.append(path)
 
     X = make_design(design)
@@ -397,14 +404,14 @@ def write_study(result: SimResult, prefix: str, **meta) -> list[str]:
         "design": {"variant": design.variant, "n": design.n, "k": design.k,
                    "rho": design.rho, "c": design.c},
         "condition_number": float(np.linalg.cond(X.T @ X)),
-        "xi": [float(v) for v in result.xi],
+        "xi": result.xi.tolist(),
         "theta": list(config.theta),
         "sigma": float(config.sigma),
         "eta": config.eta_value(),
         "reps": config.reps,
         "seed": config.seed,
-        "zero_proportion": [float(v) for v in result.zero_proportion],
-        "outlier_count": [int(v) for v in result.outlier_count],
+        "zero_proportion": result.zero_proportion.tolist(),
+        "outlier_count": result.outlier_count.tolist(),
         "solver_failures": 0,
         **meta,
     }

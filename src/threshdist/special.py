@@ -79,7 +79,8 @@ def _check_dof(m) -> int:
 
 def normal_cdf(x):
     """Standard normal cdf; accepts +-inf and arrays."""
-    return special.ndtr(x)
+    out = special.ndtr(x)
+    return out if out.ndim else float(out)
 
 
 def normal_pdf(x):

@@ -117,6 +117,16 @@ class TestXiValues:
             est.xi_values(X)
 
 
+    @pytest.mark.parametrize("call", [
+        est.xi_values,
+        lambda X: est.LassoConfig.eta_xi_inverse(0.5).penalties(X),
+        lambda X: est.RegressionData(X, np.ones(2)),
+    ], ids=["xi_values", "penalties", "RegressionData"])
+    def test_fewer_rows_than_columns(self, call):
+        X = np.random.default_rng(0).standard_normal((2, 3))
+        with pytest.raises(est.SingularDesignError, match="n = 2 rows, fewer than its k = 3"):
+            call(X)
+
 class TestRegressionData:
     @pytest.mark.parametrize("where", ["X", "Y"])
     def test_non_finite_data_rejected(self, where):

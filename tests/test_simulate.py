@@ -79,6 +79,15 @@ class TestDeterminism:
         assert np.array_equal(mc._fill_noise(np.empty((reps, n)), seed), want)
         assert np.array_equal(mc.replication_noise(seed, reps - 1, n), want[-1])
 
+    @pytest.mark.parametrize("mode", [fd.KNOWN, fd.VarianceMode.unknown_sigma(4)])
+    @pytest.mark.parametrize("kind", fd.KINDS)
+    def test_component_draws_do_not_depend_on_reps(self, kind, mode):
+        # replication r's draws are the same in a 50- and a 100-replication run
+        spec = fd.ComponentSpec(8, 1.0, 0.5, 1.0, 0.7)
+        short = mc.sample_component(kind, mode, spec, 50, seed=3)
+        long = mc.sample_component(kind, mode, spec, 100, seed=3)
+        assert np.array_equal(short, long[:50])
+
     def test_known_variance_study_equals_recomputation(self):
         # least squares on regenerated noise, thresholded at the true sigma
         n, reps, sigma, seed = 404, 300, 1.3, 29

@@ -15,6 +15,14 @@ class TestNormal:
         assert sf.normal_cdf(math.inf) == 1.0
         assert sf.normal_cdf(-math.inf) == 0.0
 
+    @pytest.mark.parametrize("f, args", [
+        (sf.normal_cdf, ()), (sf.normal_pdf, ()), (sf.normal_quantile, ()),
+        (sf.rho_density, (4,)), (sf.chi_square_tail, (4,)), (sf.rho_cdf, (4,)),
+    ])
+    def test_scalar_gives_float_array_gives_array(self, f, args):
+        assert type(f(*args, 0.5)) is float
+        assert isinstance(f(*args, np.array([0.25, 0.5])), np.ndarray)
+
     def test_cdf_against_erfc_oracle(self):
         # oracle: Phi(x) = erfc(-x/sqrt(2))/2 evaluated through math.erfc
         for x in (-3.7, -1.0, -0.2, 0.9, 2.5):
