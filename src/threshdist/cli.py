@@ -187,12 +187,12 @@ def _design_from_args(args) -> DesignSpec:
 def _cmd_design(args) -> int:
     spec = _design_from_args(args)
     X = est.make_design(spec)
-    xi = est.xi_values(X)
-    cond = float(np.linalg.cond(X.T @ X))
+    design = est._Design(X)
+    xi = design.xi()
     if args.out:
         est.write_matrix(args.out, X)
     meta = {"variant": spec.variant, "n": spec.n, "k": spec.k, "rho": spec.rho,
-            "c": spec.c, "condition_number": cond,
+            "c": spec.c, "condition_number": design.condition_number,
             "xi": xi.tolist(),
             "matrix_file": args.out}
     if args.format == "json":

@@ -97,16 +97,40 @@ def make_design(spec: DesignSpec) -> np.ndarray:
     return X
 
 
-def _check_full_rank(X: np.ndarray) -> None:
-    if not np.isfinite(X).all():
-        raise ValueError("design X must be finite")
-    if X.shape[0] < X.shape[1]:
-        raise SingularDesignError(f"design has n = {X.shape[0]} rows, fewer than its "
-                                  f"k = {X.shape[1]} columns")
-    sv = np.linalg.svd(X, compute_uv=False)
-    if sv[-1] <= RANK_RTOL * sv[0]:
-        raise SingularDesignError(
-            f"design is numerically rank deficient (sv ratio {sv[-1] / sv[0]:.2e})")
+class _Design:
+    """A design X (n x k, finite, full column rank), factored once by a thin
+    SVD X = U diag(s) V'.
+
+    The SVD gives the rank test, the condition number (s_1 / s_k)^2 of X'X,
+    and the pseudo-inverse V diag(1/s) U' by numpy's ``pinv`` steps, which a
+    fit applies so that it loses digits as cond(X), not cond(X)^2.
+
+    xi keeps its Gram-inverse formula, whose bits the benchmark's own
+    ``perfbench/checks.xi_of`` reproduces and compares by equality (an SVD xi
+    moves their last bit).  It is computed only on request, so a design whose
+    X'X is too ill-conditioned to invert can still be fitted."""
+
+    def __init__(self, X):
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise ValueError(f"design X must be 2-D, got shape {X.shape}")
+        if not np.isfinite(X).all():
+            raise ValueError("design X must be finite")
+        n, k = X.shape
+        if n < k:
+            raise SingularDesignError(f"design has n = {n} rows, fewer than its k = {k} columns")
+        u, s, vt = np.linalg.svd(X, full_matrices=False)
+        if s[-1] <= RANK_RTOL * s[0]:
+            raise SingularDesignError(
+                f"design is numerically rank deficient (sv ratio {s[-1] / s[0]:.2e})")
+        self.X = X
+        self.condition_number = float((s[0] / s[-1]) ** 2)
+        self.gram = X.T @ X
+        self.pinv = vt.T @ ((1.0 / s)[:, None] * u.T)
+
+    def xi(self) -> np.ndarray:
+        """xi_i = sqrt of the i-th diagonal entry of (X'X/n)^{-1}."""
+        return np.sqrt(np.diag(np.linalg.inv(self.gram / self.X.shape[0])))
 
 
 @dataclass(frozen=True)
@@ -117,15 +141,15 @@ class RegressionData:
     Y: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
+        design = _Design(self.X)
         Y = np.asarray(self.Y, dtype=float).ravel()
-        if X.ndim != 2 or X.shape[0] != Y.shape[0]:
-            raise ValueError(f"shape mismatch: X {X.shape}, Y {Y.shape}")
+        if design.X.shape[0] != Y.shape[0]:
+            raise ValueError(f"shape mismatch: X {design.X.shape}, Y {Y.shape}")
         if not np.isfinite(Y).all():
             raise ValueError("response Y must be finite")
-        _check_full_rank(X)
-        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "X", design.X)
         object.__setattr__(self, "Y", Y)
+        object.__setattr__(self, "_design", design)
 
     @property
     def n(self) -> int:
@@ -138,11 +162,7 @@ class RegressionData:
 
 def xi_values(X: np.ndarray) -> np.ndarray:
     """xi_i = sqrt of the i-th diagonal entry of (X'X/n)^{-1}."""
-    X = np.asarray(X, dtype=float)
-    _check_full_rank(X)
-    n = X.shape[0]
-    gram_inv = np.linalg.inv(X.T @ X / n)
-    return np.sqrt(np.diag(gram_inv))
+    return _Design(X).xi()
 
 
 def psi_values(X: np.ndarray) -> np.ndarray:
@@ -152,7 +172,7 @@ def psi_values(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", X, X) / n)
 
 
-def _fit_rows(X: np.ndarray, pinv: np.ndarray, Y: np.ndarray, variance: bool):
+def _fit_rows(design: _Design, Y: np.ndarray, variance: bool):
     """Least-squares fits pinv(X) y of the response rows y of ``Y`` and, if
     ``variance``, their residual variances ||y - X theta_hat||^2 / (n - k)
     (else None).
@@ -160,7 +180,8 @@ def _fit_rows(X: np.ndarray, pinv: np.ndarray, Y: np.ndarray, variance: bool):
     einsum, unlike BLAS, works row by row in a fixed order, so a row's fit
     is the same bits whatever the other rows of ``Y``.  The fitted values
     contract with a contiguous X', whose long rows einsum runs fastest."""
-    theta_hat = np.einsum("rn,kn->rk", Y, pinv)
+    X = design.X
+    theta_hat = np.einsum("rn,kn->rk", Y, design.pinv)
     if not variance:
         return theta_hat, None
     # fitted values, turned into residuals in place
@@ -177,8 +198,7 @@ def least_squares(data: RegressionData) -> tuple[np.ndarray, float | None]:
     replication, bit for bit.  The variance estimate ||Y - X theta_hat||^2 /
     (n - k) is None when n == k.
     """
-    theta_hat, var = _fit_rows(data.X, np.linalg.pinv(data.X), data.Y[None, :],
-                               data.n > data.k)
+    theta_hat, var = _fit_rows(data._design, data.Y[None, :], data.n > data.k)
     return theta_hat[0], None if var is None else float(var[0])
 
 
@@ -263,19 +283,22 @@ class LassoConfig:
         return vec
 
 
-def _lasso_rows(X: np.ndarray, theta_ls: np.ndarray, sigma_hat: np.ndarray,
+def _lasso_rows(design: _Design, theta_ls: np.ndarray, sigma_hat: np.ndarray,
                 config: LassoConfig, adaptive: bool) -> np.ndarray:
     """Lasso (adaptive lasso if ``adaptive``) of each response Y on X, exactly,
     by the homotopy of Osborne, Presnell and Turlach (2000) from the
     least-squares fits ``theta_ls``, one row per response.
 
     With G = X'X, ||Y - X theta||^2 = (theta - theta_ls)' G (theta - theta_ls)
-    + RSS, so a row's lasso depends on Y only through X'Y = G theta_ls.  With
+    + RSS, so a row's lasso depends on Y only through theta_ls.  With
     thresholds t, the path runs in a penalty scale tau from 0 to 1 with
     thresholds tau * t.  At tau = 0 the solution is ``theta_ls``, so every
     nonzero coordinate starts active with its sign.  On a support A with
-    signs s the solution is theta_A = u - tau * v, where G_AA u = (X'Y)_A and
-    G_AA v = t_A * s_A, and the gradient X'Y - G theta off A is p + tau * q.
+    signs s the solution is theta_A = u_A - tau * v_A, solved relative to the
+    fit: with B the complement of A, u = theta_ls - d for d_B = theta_ls_B and
+    d_A = -G_AA^{-1} G_AB theta_ls_B, and G_AA v_A = t_A * s_A.  The gradient
+    X'Y - G theta off A is then p + tau * q, with p = G d and q = G v.  On the
+    full support d = 0, so zero penalties return least squares exactly.
     A row's next event is the smallest tau at which an active coordinate
     reaches 0 (it leaves) or an inactive |gradient| reaches tau * t (it joins
     with the sign of q).  A crossing counts only in the direction the
@@ -292,8 +315,8 @@ def _lasso_rows(X: np.ndarray, theta_ls: np.ndarray, sigma_hat: np.ndarray,
     bad = ~(np.isfinite(sigma_hat) & (sigma_hat > 0))
     if bad.any():
         raise ValueError(f"sigma_hat must be finite and positive, got {sigma_hat[bad][0]!r}")
-    n, k = X.shape
-    eta_prime = config.penalties(X)
+    n, k = design.X.shape
+    eta_prime = config.penalties(design.X)
     sigma_hat = sigma_hat[:, None]
     if adaptive:
         if np.any(np.abs(theta_ls) <= np.finfo(float).tiny):
@@ -302,12 +325,11 @@ def _lasso_rows(X: np.ndarray, theta_ls: np.ndarray, sigma_hat: np.ndarray,
         t = n * sigma_hat ** 2 * eta_prime ** 2 / np.abs(theta_ls)
     else:
         t = np.broadcast_to(n * sigma_hat * eta_prime, theta_ls.shape)
-    gram = X.T @ X
-    xty = np.einsum("ij,rj->ri", gram, theta_ls)
+    gram = design.gram
     sign = np.sign(theta_ls)
-    tau = np.zeros(len(xty))
-    rows = np.arange(len(xty))
-    out = np.empty_like(xty)
+    tau = np.zeros(len(theta_ls))
+    rows = np.arange(len(theta_ls))
+    out = np.empty_like(theta_ls)
     for _ in range(3 ** k):
         active = sign != 0.0
         # one exact key per support, whatever k: the bytes of its mask
@@ -317,9 +339,11 @@ def _lasso_rows(X: np.ndarray, theta_ls: np.ndarray, sigma_hat: np.ndarray,
         for block, on in zip(inv, active[first]):
             block[np.ix_(on, on)] = np.linalg.inv(gram[np.ix_(on, on)])
         inv = inv[which]
-        u = np.einsum("rij,rj->ri", inv, xty)
+        off = np.where(active, 0.0, theta_ls)
+        d = off - np.einsum("rij,rj->ri", inv, np.einsum("ij,rj->ri", gram, off))
+        u = theta_ls - d
         v = np.einsum("rij,rj->ri", inv, t * sign)
-        p = xty - np.einsum("ij,rj->ri", gram, u)
+        p = np.einsum("ij,rj->ri", gram, d)
         q = np.einsum("ij,rj->ri", gram, v)
         with np.errstate(divide="ignore", invalid="ignore"):
             event = np.where(active & (sign * v > 0), u / v,
@@ -335,7 +359,7 @@ def _lasso_rows(X: np.ndarray, theta_ls: np.ndarray, sigma_hat: np.ndarray,
         keep = ~done
         if not keep.any():
             return out
-        rows, tau, sign, xty, t = rows[keep], tau[keep], sign[keep], xty[keep], t[keep]
+        rows, tau, sign, theta_ls, t = rows[keep], tau[keep], sign[keep], theta_ls[keep], t[keep]
     raise NonConvergenceError(
         f"lasso homotopy: {rows.size} rows still open after all 3^{k} (support, sign) "
         "patterns; rounding made their paths cycle")
@@ -343,7 +367,7 @@ def _lasso_rows(X: np.ndarray, theta_ls: np.ndarray, sigma_hat: np.ndarray,
 
 def _solve_one(data: RegressionData, config: LassoConfig, sigma_hat: float, adaptive: bool):
     theta_ls, _ = least_squares(data)
-    return _lasso_rows(data.X, theta_ls[None, :], np.array([float(sigma_hat)]), config,
+    return _lasso_rows(data._design, theta_ls[None, :], np.array([float(sigma_hat)]), config,
                        adaptive)[0]
 
 

@@ -420,7 +420,7 @@ def monte_carlo_matches_analytic_law():
             width = edges[1] - edges[0]
             for i, mix in enumerate(res.overlay):
                 w = mix.atom_weight
-                # cdf of the continuous part; _histogram clips the samples
+                # cdf of the continuous part; run_study clips the samples
                 # beyond the edges into the end bins
                 ac = mix.cdf(edges) - w * (edges >= mix.atom_location)
                 mass = np.diff(ac)

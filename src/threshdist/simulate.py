@@ -46,8 +46,8 @@ from . import special as sf
 from .distributions import (ADAPTIVE, HARD, KINDS, KNOWN, SOFT, ComponentSpec,
                             MixtureDistribution, VarianceMode, as_mixture,
                             with_atom_neighborhood)
-from .estimators import (DesignSpec, LassoConfig, _fit_rows, _lasso_rows, make_design,
-                         threshold_estimate, xi_values)
+from .estimators import (DesignSpec, LassoConfig, _Design, _fit_rows, _lasso_rows,
+                         make_design, threshold_estimate)
 
 __all__ = [
     "ESTIMATORS",
@@ -184,18 +184,16 @@ def _overlay(config: SimConfig, xi: np.ndarray) -> tuple:
 
 def run_study(config: SimConfig) -> SimResult:
     """Simulate the configured estimator; deterministic for a fixed seed."""
-    design = config.design
-    n, k = design.n, design.k
-    X = make_design(design)
-    xi = xi_values(X)
+    n, k = config.design.n, config.design.k
+    design = _Design(make_design(config.design))
+    xi = design.xi()
     theta = np.asarray(config.theta)
     eta = config.eta_value()
     reps = config.reps
 
     # the replications stream through one block of response rows, fitted row
     # by row, so every row's results are the same bits whatever the block
-    mean = X @ theta
-    pinv = np.linalg.pinv(X)
+    mean = design.X @ theta
     rows = min(reps, max(1, STREAM_ELEMENTS // n))
     Y = np.empty((rows, n))
     theta_ls = np.empty((reps, k))
@@ -207,7 +205,7 @@ def run_study(config: SimConfig) -> SimResult:
         y = _fill_noise(Y[:hi - lo], config.seed, lo)
         y *= config.sigma
         y += mean
-        theta_ls[lo:hi], var = _fit_rows(X, pinv, y, config.feasible)
+        theta_ls[lo:hi], var = _fit_rows(design, y, config.feasible)
         if config.feasible:
             scale[lo:hi] = np.sqrt(var)
 
@@ -216,8 +214,9 @@ def run_study(config: SimConfig) -> SimResult:
                                        scale[:, None], xi[None, :], eta)
     else:
         adaptive = config.estimator == "adaptive-lasso"
-        cfg = LassoConfig.constant(eta) if adaptive else LassoConfig.eta_xi_inverse(eta)
-        estimates = _lasso_rows(X, theta_ls, scale, cfg, adaptive)
+        # eta / xi is LassoConfig.eta_xi_inverse(eta)'s levels, bit for bit
+        cfg = LassoConfig.constant(eta) if adaptive else LassoConfig.per_component(eta / xi)
+        estimates = _lasso_rows(design, theta_ls, scale, cfg, adaptive)
 
     # each overlay's own alpha, so that a zero lands on its atom_location
     overlay = _overlay(config, xi)
@@ -397,13 +396,12 @@ def write_study(result: SimResult, prefix: str, **meta) -> list[str]:
             fh.writelines(",".join(map(repr, row)) + "\n" for row in table.tolist())
         paths.append(path)
 
-    X = make_design(design)
     sidecar = {
         "estimator": config.estimator,
         "feasible": config.feasible,
         "design": {"variant": design.variant, "n": design.n, "k": design.k,
                    "rho": design.rho, "c": design.c},
-        "condition_number": float(np.linalg.cond(X.T @ X)),
+        "condition_number": _Design(make_design(design)).condition_number,
         "xi": result.xi.tolist(),
         "theta": list(config.theta),
         "sigma": float(config.sigma),

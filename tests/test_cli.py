@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -257,6 +258,16 @@ class TestDesign:
         assert round(meta["condition_number"]) == 81
         assert len(meta["xi"]) == 4
         assert len(meta["matrix"]) == 8
+
+    def test_condition_number_is_accurate(self, capsys):
+        # cond(X) = 2.5e7 here: X's singular values give cond(X'X) = (1 + 4c)^-2
+        # to 1e-9, where the condition number of X'X formed in floating point
+        # is 3 % off
+        code, out, _ = run_cli(capsys, "design", "--variant", "II", "--c", "-0.24999999",
+                               "--n", "8", "--k", "4", "--format", "json")
+        assert code == 0
+        exact = 1 / (1 + 4 * mpmath.mpf(-0.24999999)) ** 2
+        assert abs(strict_json(out)["condition_number"] / exact - 1) <= 1e-6
 
     def test_csv_spells_an_absent_parameter_nan(self, capsys):
         code, out, _ = run_cli(capsys, "design", "--variant", "II", "--c", "2",

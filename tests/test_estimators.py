@@ -216,6 +216,17 @@ class TestLasso:
         sol = est.lasso(data, est.LassoConfig.per_component(np.zeros(4)), 1.0)
         assert np.max(np.abs(sol - ls)) <= 1e-11
 
+    @pytest.mark.parametrize("solver", [est.lasso, est.adaptive_lasso])
+    def test_zero_penalty_is_least_squares_on_an_ill_conditioned_design(self, solver):
+        # cond(X) = 2.5e7: a full-support solve through the Gram inverse loses
+        # digits as cond(X)^2, one relative to the least-squares fit loses none
+        X = est.make_design(est.DesignSpec("II", 8, 4, c=-0.24999999))
+        for rep in range(20):
+            Y = X @ np.array([1.0, 0.5, 0.0, -1.0]) + mc.replication_noise(9, rep, 8)
+            data = est.RegressionData(X, Y)
+            ls, _ = est.least_squares(data)
+            assert np.array_equal(solver(data, est.LassoConfig.constant(0.0), 1.0), ls)
+
     def test_produces_exact_zeros(self):
         rng = np.random.default_rng(6)
         X = random_diagonal_design(rng, 11, 4)
@@ -334,10 +345,10 @@ class TestBatchedSolver:
     def test_rows_independent_of_batch_size(self, adaptive):
         X, Y, ls, sig = self.problem(1000, est.DesignSpec("I", 8, 4, rho=0.5))
         cfg = est.LassoConfig.eta_xi_inverse(0.7)
-        alone = [est._lasso_rows(X, ls[r:r + 1], sig[r:r + 1], cfg, adaptive)
+        alone = [est._lasso_rows(est._Design(X), ls[r:r + 1], sig[r:r + 1], cfg, adaptive)
                  for r in range(1000)]
         for m in (1, 2, 3, 17, 1000):
-            theta = est._lasso_rows(X, ls[:m], sig[:m], cfg, adaptive)
+            theta = est._lasso_rows(est._Design(X), ls[:m], sig[:m], cfg, adaptive)
             for r in range(m):
                 assert np.array_equal(theta[r], alone[r][0]), (m, r)
 
@@ -345,7 +356,7 @@ class TestBatchedSolver:
         X, Y, ls, sig = self.problem(5)
         cfg = est.LassoConfig.constant(0.4)
         for solver, adaptive in ((est.lasso, False), (est.adaptive_lasso, True)):
-            theta = est._lasso_rows(X, ls, sig, cfg, adaptive)
+            theta = est._lasso_rows(est._Design(X), ls, sig, cfg, adaptive)
             for r in range(5):
                 alone = solver(est.RegressionData(X, Y[r]), cfg, sig[r])
                 assert np.array_equal(alone, theta[r])
@@ -356,7 +367,7 @@ class TestBatchedSolver:
     def test_kkt_conditions(self, design, adaptive):
         X, Y, ls, sig = self.problem(1000, design)
         cfg = est.LassoConfig.eta_xi_inverse(0.7)
-        theta = est._lasso_rows(X, ls, sig, cfg, adaptive)
+        theta = est._lasso_rows(est._Design(X), ls, sig, cfg, adaptive)
         t = lasso_thresholds(X, ls, sig, cfg, adaptive)
         xty = Y @ X
         grad = xty - theta @ (X.T @ X)
@@ -389,7 +400,7 @@ class TestBatchedSolver:
                                    np.max(np.abs(grad) - t, axis=1, where=~on, initial=0.0))
             better = violation < worst
             best[better], worst[better] = cand[better], violation[better]
-        theta = est._lasso_rows(X, ls, sig, cfg, adaptive)
+        theta = est._lasso_rows(est._Design(X), ls, sig, cfg, adaptive)
         assert np.array_equal(theta == 0.0, best == 0.0)
         assert np.max(np.abs(theta - best)) <= 1e-12
 
@@ -397,7 +408,8 @@ class TestBatchedSolver:
         X, Y, ls, sig = self.problem(200)
         Y[1::2] = 0.0  # least squares 0 is already the lasso solution
         ls[1::2] = 0.0
-        theta = est._lasso_rows(X, ls, sig, est.LassoConfig.eta_xi_inverse(0.7), False)
+        theta = est._lasso_rows(est._Design(X), ls, sig, est.LassoConfig.eta_xi_inverse(0.7),
+                                False)
         assert np.all(theta[1::2] == 0.0)
         zeros = theta == 0.0
         assert zeros[::2].any() and not zeros[::2].all()

@@ -29,6 +29,9 @@ SPEC = fd.ComponentSpec(8, 1.0, 0.5, 1.0, 0.7)
     (lambda: est.DesignSpec("III", 8, 4, rho=0.3), ValueError, "variant must be 'I' or 'II'"),
     (lambda: est.DesignSpec("II", 4, 8, c=0.2), ValueError, "need 1 <= k <= n"),
     (lambda: est.RegressionData(np.eye(4, 2), np.ones(3)), ValueError, "shape mismatch"),
+    (lambda: est.xi_values(np.ones(3)), ValueError, "design X must be 2-D, got shape (3,)"),
+    (lambda: est.LassoConfig.eta_xi_inverse(0.5).penalties(np.ones((2, 2, 2))),
+     ValueError, "design X must be 2-D, got shape (2, 2, 2)"),
     (lambda: est.LassoConfig("ridge", 0.5), ValueError, "rule must be one of"),
     (lambda: est.LassoConfig.per_component([0.1, 0.2]).penalties(np.eye(4, 3)),
      ValueError, "need 3 per-component penalties"),
