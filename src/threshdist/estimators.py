@@ -97,6 +97,17 @@ def make_design(spec: DesignSpec) -> np.ndarray:
     return X
 
 
+def _design_array(X) -> np.ndarray:
+    """X as a float array, checked to be 2-D with at least one column; the
+    check reads only the shape, so it costs no factorization."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"design X must be 2-D, got shape {X.shape}")
+    if X.shape[1] == 0:
+        raise ValueError(f"design X must have at least one column, got shape {X.shape}")
+    return X
+
+
 class _Design:
     """A design X (n x k, finite, full column rank), factored once by a thin
     SVD X = U diag(s) V'.
@@ -111,9 +122,7 @@ class _Design:
     X'X is too ill-conditioned to invert can still be fitted."""
 
     def __init__(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise ValueError(f"design X must be 2-D, got shape {X.shape}")
+        X = _design_array(X)
         if not np.isfinite(X).all():
             raise ValueError("design X must be finite")
         n, k = X.shape
@@ -167,9 +176,8 @@ def xi_values(X: np.ndarray) -> np.ndarray:
 
 def psi_values(X: np.ndarray) -> np.ndarray:
     """psi_i = sqrt of the i-th diagonal entry of X'X/n."""
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    return np.sqrt(np.einsum("ij,ij->j", X, X) / n)
+    X = _design_array(X)
+    return np.sqrt(np.einsum("ij,ij->j", X, X) / X.shape[0])
 
 
 def _fit_rows(design: _Design, Y: np.ndarray, variance: bool):
@@ -267,7 +275,7 @@ class LassoConfig:
         return cls("constant", float(eta_prime))
 
     def penalties(self, X: np.ndarray) -> np.ndarray:
-        k = X.shape[1]
+        k = _design_array(X).shape[1]
         if self.rule == "per_component":
             vec = np.asarray(self.value, dtype=float)
             if vec.shape != (k,):

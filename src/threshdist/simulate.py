@@ -7,16 +7,15 @@ re-keys it for each replication, with the counter and buffer of a fresh one,
 and draws straight into the response rows: the same streams, bit for bit,
 as a new generator per replication.
 
-A study streams its replications through one block of about
-``STREAM_ELEMENTS`` response values: each block of rows is drawn, fitted and
-reduced to its least-squares fits and residual scales before the next
+A study streams its replications through one block of rows: each block is
+drawn, fitted, given its residual scales and estimated before the next
 block reuses the buffer, so a study holds O(reps * k) memory, not a
-``(reps, n)`` response matrix.  A lasso or adaptive-lasso study is the
-exception: each pass of its homotopy gathers a ``(reps, k, k)`` stack of
-Gram inverses, so it peaks at O(reps * k^2).  The ``(seed, replication)``
-streams and each replication's results are bit-identical whatever the
-block size and the replication count, as every step works row by row in a
-fixed order.
+``(reps, n)`` response matrix.  A block holds about ``STREAM_ELEMENTS``
+response values, and a lasso or adaptive-lasso block also bounds the
+``(rows, k, k)`` stack of Gram inverses that each pass of its homotopy
+gathers.  The ``(seed, replication)`` streams and each replication's
+results are bit-identical whatever the block size and the replication
+count, as every step works row by row in a fixed order.
 
 The study simulates responses from a fixed design, computes one of the
 five estimators (hard / soft / adaptive soft thresholding, lasso, adaptive
@@ -67,8 +66,9 @@ __all__ = [
 
 ESTIMATORS = (HARD, SOFT, ADAPTIVE, "lasso", "adaptive-lasso")
 
-#: response values per block of replications, which bounds the (rows, n)
-#: buffers of a study; the results do not depend on it
+#: values per block of replications, which bounds both the (rows, n) response
+#: rows of a study and the (rows, k, k) Gram inverses of a lasso homotopy
+#: pass; the results do not depend on it
 STREAM_ELEMENTS = 1 << 17
 
 HIST_RANGE = (-6.0, 6.0)
@@ -130,6 +130,7 @@ class SimResult:
 
     config: SimConfig
     xi: np.ndarray                    # (k,)
+    condition_number: float           # of X'X
     zero_proportion: np.ndarray       # (k,)
     scaled_samples: np.ndarray        # (reps, k)
     hist_edges: np.ndarray            # (bins + 1,)
@@ -189,34 +190,34 @@ def run_study(config: SimConfig) -> SimResult:
     xi = design.xi()
     theta = np.asarray(config.theta)
     eta = config.eta_value()
-    reps = config.reps
+    lasso = config.estimator not in KINDS
+    if lasso:
+        adaptive = config.estimator == "adaptive-lasso"
+        # eta / xi is LassoConfig.eta_xi_inverse(eta)'s levels, bit for bit
+        cfg = LassoConfig.constant(eta) if adaptive else LassoConfig.per_component(eta / xi)
 
-    # the replications stream through one block of response rows, fitted row
-    # by row, so every row's results are the same bits whatever the block
+    # the replications stream through one block of rows, drawn, fitted and
+    # estimated row by row, so every row's results are the same bits whatever
+    # the block; a block bounds both its response rows and the (rows, k, k)
+    # Gram inverses that each homotopy pass gathers
     mean = design.X @ theta
-    rows = min(reps, max(1, STREAM_ELEMENTS // n))
+    rows = min(config.reps, max(1, STREAM_ELEMENTS // (max(n, k * k) if lasso else n)))
     Y = np.empty((rows, n))
-    theta_ls = np.empty((reps, k))
-    scale = np.empty(reps) if config.feasible else np.full(reps, config.sigma)
-    for lo in range(0, reps, rows):
-        hi = min(lo + rows, reps)
+    estimates = np.empty((config.reps, k))
+    for lo in range(0, config.reps, rows):
+        hi = min(lo + rows, config.reps)
         # the noise is drawn straight into the response rows, then scaled and
         # shifted in place: the same bits as mean + sigma * noise
         y = _fill_noise(Y[:hi - lo], config.seed, lo)
         y *= config.sigma
         y += mean
-        theta_ls[lo:hi], var = _fit_rows(design, y, config.feasible)
-        if config.feasible:
-            scale[lo:hi] = np.sqrt(var)
-
-    if config.estimator in KINDS:
-        estimates = threshold_estimate(config.estimator, theta_ls,
-                                       scale[:, None], xi[None, :], eta)
-    else:
-        adaptive = config.estimator == "adaptive-lasso"
-        # eta / xi is LassoConfig.eta_xi_inverse(eta)'s levels, bit for bit
-        cfg = LassoConfig.constant(eta) if adaptive else LassoConfig.per_component(eta / xi)
-        estimates = _lasso_rows(design, theta_ls, scale, cfg, adaptive)
+        theta_ls, var = _fit_rows(design, y, config.feasible)
+        scale = np.sqrt(var) if config.feasible else np.full(hi - lo, config.sigma)
+        if lasso:
+            estimates[lo:hi] = _lasso_rows(design, theta_ls, scale, cfg, adaptive)
+        else:
+            estimates[lo:hi] = threshold_estimate(config.estimator, theta_ls,
+                                                  scale[:, None], xi[None, :], eta)
 
     # each overlay's own alpha, so that a zero lands on its atom_location
     overlay = _overlay(config, xi)
@@ -234,10 +235,10 @@ def run_study(config: SimConfig) -> SimResult:
     counts = np.bincount(bins[~zero_mask], minlength=k * HIST_BINS).reshape(k, HIST_BINS)
     outliers = np.sum(~zero_mask & ((scaled < low) | (scaled > high)), axis=0)
 
-    return SimResult(config=config, xi=xi, zero_proportion=zero_mask.mean(axis=0),
-                     scaled_samples=scaled, hist_edges=edges,
-                     hist_heights=counts / (reps * width), outlier_count=outliers,
-                     overlay=overlay)
+    return SimResult(config=config, xi=xi, condition_number=design.condition_number,
+                     zero_proportion=zero_mask.mean(axis=0), scaled_samples=scaled,
+                     hist_edges=edges, hist_heights=counts / (config.reps * width),
+                     outlier_count=outliers, overlay=overlay)
 
 
 def sample_component(kind: str, mode: VarianceMode, spec: ComponentSpec,
@@ -401,7 +402,7 @@ def write_study(result: SimResult, prefix: str, **meta) -> list[str]:
         "feasible": config.feasible,
         "design": {"variant": design.variant, "n": design.n, "k": design.k,
                    "rho": design.rho, "c": design.c},
-        "condition_number": _Design(make_design(design)).condition_number,
+        "condition_number": result.condition_number,
         "xi": result.xi.tolist(),
         "theta": list(config.theta),
         "sigma": float(config.sigma),

@@ -32,6 +32,19 @@ SPEC = fd.ComponentSpec(8, 1.0, 0.5, 1.0, 0.7)
     (lambda: est.xi_values(np.ones(3)), ValueError, "design X must be 2-D, got shape (3,)"),
     (lambda: est.LassoConfig.eta_xi_inverse(0.5).penalties(np.ones((2, 2, 2))),
      ValueError, "design X must be 2-D, got shape (2, 2, 2)"),
+    # one shape check serves every design reader; explicit ids keep the
+    # repeated messages from renumbering the rows above
+    pytest.param(lambda: est.xi_values(np.ones((3, 0))), ValueError,
+                 "design X must have at least one column, got shape (3, 0)", id="xi-no-columns"),
+    pytest.param(lambda: est.RegressionData(np.ones((3, 0)), np.ones(3)), ValueError,
+                 "design X must have at least one column, got shape (3, 0)",
+                 id="data-no-columns"),
+    pytest.param(lambda: est.LassoConfig.constant(0.5).penalties(np.ones(3)), ValueError,
+                 "design X must be 2-D, got shape (3,)", id="constant-penalties-1d"),
+    pytest.param(lambda: est.LassoConfig.eta_psi(0.5).penalties(np.ones(3)), ValueError,
+                 "design X must be 2-D, got shape (3,)", id="eta-psi-penalties-1d"),
+    pytest.param(lambda: est.psi_values(np.ones(3)), ValueError,
+                 "design X must be 2-D, got shape (3,)", id="psi-1d"),
     (lambda: est.LassoConfig("ridge", 0.5), ValueError, "rule must be one of"),
     (lambda: est.LassoConfig.per_component([0.1, 0.2]).penalties(np.eye(4, 3)),
      ValueError, "need 3 per-component penalties"),

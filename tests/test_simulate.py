@@ -118,13 +118,15 @@ class TestDeterminism:
                                              feasible=True, reps=m))
             assert np.array_equal(part.scaled_samples, full.scaled_samples[:m]), m
 
-    @pytest.mark.parametrize("n", [8, 404])
+    @pytest.mark.parametrize("n,k", [(8, 4), (404, 4), (24, 6)], ids=["8", "404", "24-k6"])
     @pytest.mark.parametrize("feasible", [True, False])
     @pytest.mark.parametrize("estimator", mc.ESTIMATORS)
-    def test_results_independent_of_block_size(self, monkeypatch, estimator, feasible, n):
-        # blocks of 1, 7 and 97 rows; 97 does not divide the replication count
-        design = est.DesignSpec("I", n, 4, rho=0.5)
-        theta = tuple(t / math.sqrt(n / 8) for t in THETA)
+    def test_results_independent_of_block_size(self, monkeypatch, estimator, feasible, n, k):
+        # blocks of 1, 7 and 97 response rows; 97 does not divide the
+        # replication count.  Where k^2 > n a lasso block holds fewer rows,
+        # as its homotopy's (rows, k, k) Gram inverses bound it
+        design = est.DesignSpec("I", n, k, rho=0.5)
+        theta = tuple(t / math.sqrt(n / 8) for t in THETA + (0.0,) * (k - 4))
         config = small_config(design=design, theta=theta, estimator=estimator,
                               feasible=feasible, reps=1000)
         want = mc.run_study(config)
@@ -193,22 +195,29 @@ class TestRunStudy:
         spec = fd.ComponentSpec(8, 1.0, 0.0, 1.0, mc.default_eta(8))
         assert abs(res.overlay[2].atom_weight - fd.deletion_probability(spec)) <= 1e-12
 
-    @pytest.mark.parametrize("kind", fd.KINDS)
+    @pytest.mark.parametrize("kind", mc.ESTIMATORS)
     def test_memory_bounded_by_one_block(self, kind):
-        # one (reps, n) array of this study would take 65 MB; a study keeps
-        # (reps, k) arrays and one block of response rows
         n = 404
-        design = est.DesignSpec("I", n, 4, rho=0.5)
-        theta = tuple(np.array([2.0, 0.7, 0.0, -0.6]) / math.sqrt(n))
+        if kind in fd.KINDS:
+            # one (reps, n) array of this study would take 65 MB; a study
+            # keeps (reps, k) arrays and one block of response rows
+            design, reps, mib = est.DesignSpec("I", n, 4, rho=0.5), 20_000, 16
+            theta = tuple(np.array([2.0, 0.7, 0.0, -0.6]) / math.sqrt(n))
+        else:
+            # k^2 > n: a homotopy pass over all replications at once would
+            # gather a (reps, k, k) stack of Gram inverses and peak near 10 MiB;
+            # a lasso block holds STREAM_ELEMENTS // k^2 rows
+            design, reps, mib = est.DesignSpec("II", n, 24, c=0.5), 600, 8
+            theta = tuple(np.linspace(-0.5, 0.5, 24))
         config = small_config(design=design, theta=theta, estimator=kind, feasible=True,
-                              reps=20_000)
+                              reps=reps)
         tracemalloc.start()
         try:
             mc.run_study(config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2 ** 20
+        assert peak < mib * 2 ** 20
 
     def test_zero_events_identical_across_kinds(self):
         # all three thresholding rules share the same deletion event: a zero
