@@ -97,20 +97,14 @@ def make_design(spec: DesignSpec) -> np.ndarray:
     return X
 
 
-def _design_array(X) -> np.ndarray:
-    """X as a float array, checked to be 2-D with at least one column; the
-    check reads only the shape, so it costs no factorization."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"design X must be 2-D, got shape {X.shape}")
-    if X.shape[1] == 0:
-        raise ValueError(f"design X must have at least one column, got shape {X.shape}")
-    return X
-
-
 class _Design:
     """A design X (n x k, finite, full column rank), factored once by a thin
     SVD X = U diag(s) V'.
+
+    This is the one check of a design: every reader of X (``RegressionData``,
+    ``xi_values``, ``psi_values`` and ``LassoConfig.penalties``) builds or
+    reuses a ``_Design``, which refuses a non-2-D, column-less, non-finite,
+    wide (so also zero-row) or rank-deficient X.
 
     The SVD gives the rank test, the condition number (s_1 / s_k)^2 of X'X,
     and the pseudo-inverse V diag(1/s) U' by numpy's ``pinv`` steps, which a
@@ -122,7 +116,11 @@ class _Design:
     X'X is too ill-conditioned to invert can still be fitted."""
 
     def __init__(self, X):
-        X = _design_array(X)
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise ValueError(f"design X must be 2-D, got shape {X.shape}")
+        if X.shape[1] == 0:
+            raise ValueError(f"design X must have at least one column, got shape {X.shape}")
         if not np.isfinite(X).all():
             raise ValueError("design X must be finite")
         n, k = X.shape
@@ -138,8 +136,23 @@ class _Design:
         self.pinv = vt.T @ ((1.0 / s)[:, None] * u.T)
 
     def xi(self) -> np.ndarray:
-        """xi_i = sqrt of the i-th diagonal entry of (X'X/n)^{-1}."""
-        return np.sqrt(np.diag(np.linalg.inv(self.gram / self.X.shape[0])))
+        """xi_i = sqrt of the i-th diagonal entry of (X'X/n)^{-1}.
+
+        Raises :class:`SingularDesignError` where the Gram inverse cannot give
+        xi: X'X is singular in floating point, or its inverse has a diagonal
+        entry that is not finite and positive."""
+        try:
+            diag = np.diag(np.linalg.inv(self.gram / self.X.shape[0]))
+        except np.linalg.LinAlgError:
+            diag = np.array([np.nan])
+        if not np.all((diag > 0.0) & (diag < np.inf)):  # NaN too
+            raise SingularDesignError(f"xi is not computable: X'X, with condition number "
+                                      f"{self.condition_number:.3g}, cannot be inverted")
+        return np.sqrt(diag)
+
+    def psi(self) -> np.ndarray:
+        """psi_i = sqrt of the i-th diagonal entry of X'X/n."""
+        return np.sqrt(np.einsum("ij,ij->j", self.X, self.X) / self.X.shape[0])
 
 
 @dataclass(frozen=True)
@@ -170,14 +183,20 @@ class RegressionData:
 
 
 def xi_values(X: np.ndarray) -> np.ndarray:
-    """xi_i = sqrt of the i-th diagonal entry of (X'X/n)^{-1}."""
+    """xi_i = sqrt of the i-th diagonal entry of (X'X/n)^{-1}.
+
+    Raises :class:`SingularDesignError` for a rank-deficient X, and for an X
+    whose X'X is too ill-conditioned for its inverse to give xi."""
     return _Design(X).xi()
 
 
 def psi_values(X: np.ndarray) -> np.ndarray:
-    """psi_i = sqrt of the i-th diagonal entry of X'X/n."""
-    X = _design_array(X)
-    return np.sqrt(np.einsum("ij,ij->j", X, X) / X.shape[0])
+    """psi_i = sqrt of the i-th diagonal entry of X'X/n.
+
+    psi is read only as a lasso penalty level, so X gets the solvers' check
+    of :class:`_Design`: a rank-deficient X raises
+    :class:`SingularDesignError`."""
+    return _Design(X).psi()
 
 
 def _fit_rows(design: _Design, Y: np.ndarray, variance: bool):
@@ -275,15 +294,20 @@ class LassoConfig:
         return cls("constant", float(eta_prime))
 
     def penalties(self, X: np.ndarray) -> np.ndarray:
-        k = _design_array(X).shape[1]
+        """The levels eta'_i of this rule on the design X, which gets the one
+        design check of :class:`_Design`, as in the solvers."""
+        return self._levels(_Design(X))
+
+    def _levels(self, design: _Design) -> np.ndarray:
+        k = design.X.shape[1]
         if self.rule == "per_component":
             vec = np.asarray(self.value, dtype=float)
             if vec.shape != (k,):
                 raise ValueError(f"need {k} per-component penalties, got shape {vec.shape}")
         elif self.rule == "eta_xi_inverse":
-            vec = self.value / xi_values(X)
+            vec = self.value / design.xi()
         elif self.rule == "eta_psi":
-            vec = self.value * psi_values(X)
+            vec = self.value * design.psi()
         else:
             vec = np.full(k, float(self.value))
         if not np.all(np.isfinite(vec) & (vec >= 0)):
@@ -292,10 +316,14 @@ class LassoConfig:
 
 
 def _lasso_rows(design: _Design, theta_ls: np.ndarray, sigma_hat: np.ndarray,
-                config: LassoConfig, adaptive: bool) -> np.ndarray:
+                eta_prime: np.ndarray, adaptive: bool) -> np.ndarray:
     """Lasso (adaptive lasso if ``adaptive``) of each response Y on X, exactly,
     by the homotopy of Osborne, Presnell and Turlach (2000) from the
     least-squares fits ``theta_ls``, one row per response.
+
+    The homotopy takes the k penalty levels ``eta_prime`` themselves, not a
+    rule: its caller takes them once per design (``LassoConfig._levels``), so
+    X is checked once, by the ``_Design`` in hand.
 
     With G = X'X, ||Y - X theta||^2 = (theta - theta_ls)' G (theta - theta_ls)
     + RSS, so a row's lasso depends on Y only through theta_ls.  With
@@ -324,7 +352,6 @@ def _lasso_rows(design: _Design, theta_ls: np.ndarray, sigma_hat: np.ndarray,
     if bad.any():
         raise ValueError(f"sigma_hat must be finite and positive, got {sigma_hat[bad][0]!r}")
     n, k = design.X.shape
-    eta_prime = config.penalties(design.X)
     sigma_hat = sigma_hat[:, None]
     if adaptive:
         if np.any(np.abs(theta_ls) <= np.finfo(float).tiny):
@@ -375,8 +402,8 @@ def _lasso_rows(design: _Design, theta_ls: np.ndarray, sigma_hat: np.ndarray,
 
 def _solve_one(data: RegressionData, config: LassoConfig, sigma_hat: float, adaptive: bool):
     theta_ls, _ = least_squares(data)
-    return _lasso_rows(data._design, theta_ls[None, :], np.array([float(sigma_hat)]), config,
-                       adaptive)[0]
+    return _lasso_rows(data._design, theta_ls[None, :], np.array([float(sigma_hat)]),
+                       config._levels(data._design), adaptive)[0]
 
 
 def lasso(data: RegressionData, config: LassoConfig, sigma_hat: float) -> np.ndarray:

@@ -317,7 +317,7 @@ def limit_selection_probability(params: RegimeParams, mode: str) -> float:
     zeta = _need(params.zeta, "zeta")
     m = _smoothing_dof(params, mode)
     if m is not None:
-        return sf.chi_square_tail(m, m * zeta * zeta)
+        return _ChiSquareAtom(zeta, m).atom_weight
     if abs(zeta) != 1.0:
         return float(abs(zeta) < 1.0)
     # on the boundary: Phi(r / sqrt(1 + d^2)) = Pr(Z1 - d*Z2 <= r), with

@@ -14,8 +14,8 @@ import traceback
 from dataclasses import replace
 
 import numpy as np
-from scipy import integrate, stats
-from scipy.special import nctdtr
+from scipy import integrate
+from scipy.special import bdtr, bdtrc, nctdtr
 
 from . import special as sf
 from . import distributions as fd
@@ -153,10 +153,10 @@ def soft_unknown_closed_form_vs_quadrature():
             law = fd.cdf(fd.SOFT, mode, spec, float(x))
             v = spec.standardized(float(x))
             sign = 1.0 if spec.offset(float(x)) >= 0.0 else -1.0
-            closed = stats.nct.cdf(sign * b, m, -v)
+            closed = nctdtr(m, -v, sign * b)
             quad = sf.integrate_rho(m, lambda s: sf.normal_cdf(v + sign * s * b))
             assert max(abs(law - closed), abs(law - quad)) <= 1e-8, \
-                f"x={x}: {law} vs scipy nct {closed}, quadrature {quad}"
+                f"x={x}: {law} vs scipy nctdtr {closed}, quadrature {quad}"
 
 
 @_check
@@ -429,8 +429,8 @@ def monte_carlo_matches_analytic_law():
                 counts = np.append(np.rint(res.hist_heights[i] * reps * width),
                                    round(res.zero_proportion[i] * reps))
                 probs = np.append(np.maximum(mass, 0.0), w)
-                pvals.append(2.0 * np.minimum(stats.binom.cdf(counts, reps, probs),
-                                              stats.binom.sf(counts - 1, reps, probs)))
+                pvals.append(2.0 * np.minimum(bdtr(counts, reps, probs),
+                                              bdtrc(counts - 1, reps, probs)))
                 labels.append(f"{kind} feasible={feasible} comp {i + 1}")
     pvals = np.array(pvals)
     worst = np.unravel_index(np.argmin(pvals), pvals.shape)

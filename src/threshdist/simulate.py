@@ -45,8 +45,8 @@ from . import special as sf
 from .distributions import (ADAPTIVE, HARD, KINDS, KNOWN, SOFT, ComponentSpec,
                             MixtureDistribution, VarianceMode, as_mixture,
                             with_atom_neighborhood)
-from .estimators import (DesignSpec, LassoConfig, _Design, _fit_rows, _lasso_rows,
-                         make_design, threshold_estimate)
+from .estimators import (DesignSpec, _Design, _fit_rows, _lasso_rows, make_design,
+                         threshold_estimate)
 
 __all__ = [
     "ESTIMATORS",
@@ -193,8 +193,7 @@ def run_study(config: SimConfig) -> SimResult:
     lasso = config.estimator not in KINDS
     if lasso:
         adaptive = config.estimator == "adaptive-lasso"
-        # eta / xi is LassoConfig.eta_xi_inverse(eta)'s levels, bit for bit
-        cfg = LassoConfig.constant(eta) if adaptive else LassoConfig.per_component(eta / xi)
+        eta_prime = np.full(k, eta) if adaptive else eta / xi
 
     # the replications stream through one block of rows, drawn, fitted and
     # estimated row by row, so every row's results are the same bits whatever
@@ -214,7 +213,7 @@ def run_study(config: SimConfig) -> SimResult:
         theta_ls, var = _fit_rows(design, y, config.feasible)
         scale = np.sqrt(var) if config.feasible else np.full(hi - lo, config.sigma)
         if lasso:
-            estimates[lo:hi] = _lasso_rows(design, theta_ls, scale, cfg, adaptive)
+            estimates[lo:hi] = _lasso_rows(design, theta_ls, scale, eta_prime, adaptive)
         else:
             estimates[lo:hi] = threshold_estimate(config.estimator, theta_ls,
                                                   scale[:, None], xi[None, :], eta)

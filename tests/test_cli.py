@@ -269,6 +269,23 @@ class TestDesign:
         exact = 1 / (1 + 4 * mpmath.mpf(-0.24999999)) ** 2
         assert abs(strict_json(out)["condition_number"] / exact - 1) <= 1e-6
 
+    @pytest.mark.parametrize("n", ["8", "404"])
+    def test_xi_the_gram_inverse_cannot_give_fails_by_name(self, n):
+        # cond(X'X) = 6.25e18 passes the rank test; at n = 404 the Gram
+        # inverse has a negative diagonal, at n = 8 numpy finds it singular.
+        # A subprocess shows any numpy warning on stderr, as a user sees it
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        result = subprocess.run(
+            [sys.executable, "-m", "threshdist.cli", "design", "--variant", "II",
+             "--c", "-0.2499999999", "--n", n, "--k", "4"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2 and result.stdout == ""
+        (line,) = result.stderr.splitlines()
+        error = json.loads(line)
+        assert error["exit_code"] == 2
+        assert error["error"].startswith("xi is not computable")
+        assert "condition number 6.25e+18" in error["error"]
+
     def test_csv_spells_an_absent_parameter_nan(self, capsys):
         code, out, _ = run_cli(capsys, "design", "--variant", "II", "--c", "2",
                                "--n", "8", "--k", "4")
@@ -516,8 +533,8 @@ class TestJsonOutput:
 
 def test_import_loads_numpy_and_scipy_special_only():
     # QUADPACK (scipy.integrate, which loads scipy.optimize and scipy.linalg)
-    # is imported only by the checks' oracles, and scipy.stats only by
-    # selfcheck: no law, limit law or total-variation distance needs them
+    # is imported only by the checks' oracles: no law, limit law or
+    # total-variation distance needs it, nor scipy.stats
     script = textwrap.dedent("""
         import sys
         import numpy as np
@@ -546,3 +563,13 @@ def test_import_loads_numpy_and_scipy_special_only():
     loaded, tv, loaded_after = result.stdout.splitlines()
     assert loaded == loaded_after == "[]"
     assert abs(float(tv) - 2.0) <= 1e-6
+
+
+def test_selfcheck_loads_no_scipy_stats():
+    # the checks' closed forms are scipy.special functions (nctdtr, bdtr,
+    # bdtrc), so `threshdist selfcheck` does not pay for importing scipy.stats
+    script = "import sys, threshdist.selfcheck; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"

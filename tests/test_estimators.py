@@ -292,6 +292,22 @@ class TestLasso:
             with pytest.raises(ValueError):
                 solver(data, config, sigma_hat)
 
+    def test_levels_read_the_data_design(self, monkeypatch):
+        # the penalty levels come from the RegressionData's own factorization,
+        # so solving factors X no second time
+        rng = np.random.default_rng(5)
+        data = est.RegressionData(rng.standard_normal((8, 4)), rng.standard_normal(8))
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        est.lasso(data, est.LassoConfig.eta_xi_inverse(0.5), 1.0)
+        assert calls == []
+
 
 class TestAdaptiveLasso:
     def test_reduction_to_reweighted_lasso(self):
@@ -345,10 +361,11 @@ class TestBatchedSolver:
     def test_rows_independent_of_batch_size(self, adaptive):
         X, Y, ls, sig = self.problem(1000, est.DesignSpec("I", 8, 4, rho=0.5))
         cfg = est.LassoConfig.eta_xi_inverse(0.7)
-        alone = [est._lasso_rows(est._Design(X), ls[r:r + 1], sig[r:r + 1], cfg, adaptive)
+        alone = [est._lasso_rows(est._Design(X), ls[r:r + 1], sig[r:r + 1], cfg.penalties(X),
+                                 adaptive)
                  for r in range(1000)]
         for m in (1, 2, 3, 17, 1000):
-            theta = est._lasso_rows(est._Design(X), ls[:m], sig[:m], cfg, adaptive)
+            theta = est._lasso_rows(est._Design(X), ls[:m], sig[:m], cfg.penalties(X), adaptive)
             for r in range(m):
                 assert np.array_equal(theta[r], alone[r][0]), (m, r)
 
@@ -356,7 +373,7 @@ class TestBatchedSolver:
         X, Y, ls, sig = self.problem(5)
         cfg = est.LassoConfig.constant(0.4)
         for solver, adaptive in ((est.lasso, False), (est.adaptive_lasso, True)):
-            theta = est._lasso_rows(est._Design(X), ls, sig, cfg, adaptive)
+            theta = est._lasso_rows(est._Design(X), ls, sig, cfg.penalties(X), adaptive)
             for r in range(5):
                 alone = solver(est.RegressionData(X, Y[r]), cfg, sig[r])
                 assert np.array_equal(alone, theta[r])
@@ -367,7 +384,7 @@ class TestBatchedSolver:
     def test_kkt_conditions(self, design, adaptive):
         X, Y, ls, sig = self.problem(1000, design)
         cfg = est.LassoConfig.eta_xi_inverse(0.7)
-        theta = est._lasso_rows(est._Design(X), ls, sig, cfg, adaptive)
+        theta = est._lasso_rows(est._Design(X), ls, sig, cfg.penalties(X), adaptive)
         t = lasso_thresholds(X, ls, sig, cfg, adaptive)
         xty = Y @ X
         grad = xty - theta @ (X.T @ X)
@@ -400,7 +417,7 @@ class TestBatchedSolver:
                                    np.max(np.abs(grad) - t, axis=1, where=~on, initial=0.0))
             better = violation < worst
             best[better], worst[better] = cand[better], violation[better]
-        theta = est._lasso_rows(est._Design(X), ls, sig, cfg, adaptive)
+        theta = est._lasso_rows(est._Design(X), ls, sig, cfg.penalties(X), adaptive)
         assert np.array_equal(theta == 0.0, best == 0.0)
         assert np.max(np.abs(theta - best)) <= 1e-12
 
@@ -408,8 +425,8 @@ class TestBatchedSolver:
         X, Y, ls, sig = self.problem(200)
         Y[1::2] = 0.0  # least squares 0 is already the lasso solution
         ls[1::2] = 0.0
-        theta = est._lasso_rows(est._Design(X), ls, sig, est.LassoConfig.eta_xi_inverse(0.7),
-                                False)
+        theta = est._lasso_rows(est._Design(X), ls, sig,
+                                est.LassoConfig.eta_xi_inverse(0.7).penalties(X), False)
         assert np.all(theta[1::2] == 0.0)
         zeros = theta == 0.0
         assert zeros[::2].any() and not zeros[::2].all()

@@ -17,6 +17,9 @@ def command(*argv):
 
 
 SPEC = fd.ComponentSpec(8, 1.0, 0.5, 1.0, 0.7)
+INFINITE = np.array([[1.0, 0.0], [0.0, np.inf], [1.0, 1.0]])
+#: variant II at c just above -1/k = -0.25, where cond(X'X) = (1 + 4c)^-2
+C_EDGE = -0.2499999999
 
 
 @pytest.mark.parametrize("call, error, fragment", [
@@ -45,6 +48,27 @@ SPEC = fd.ComponentSpec(8, 1.0, 0.5, 1.0, 0.7)
                  "design X must be 2-D, got shape (3,)", id="eta-psi-penalties-1d"),
     pytest.param(lambda: est.psi_values(np.ones(3)), ValueError,
                  "design X must be 2-D, got shape (3,)", id="psi-1d"),
+    # psi and the penalty levels get the design check of the solvers
+    pytest.param(lambda: est.psi_values(np.ones((0, 3))), est.SingularDesignError,
+                 "design has n = 0 rows, fewer than its k = 3 columns", id="psi-no-rows"),
+    pytest.param(lambda: est.LassoConfig.constant(0.5).penalties(np.ones((0, 3))),
+                 est.SingularDesignError, "design has n = 0 rows, fewer than its k = 3 columns",
+                 id="constant-penalties-no-rows"),
+    pytest.param(lambda: est.LassoConfig.eta_psi(0.5).penalties(np.ones((0, 3))),
+                 est.SingularDesignError, "design has n = 0 rows, fewer than its k = 3 columns",
+                 id="eta-psi-penalties-no-rows"),
+    pytest.param(lambda: est.psi_values(INFINITE), ValueError,
+                 "design X must be finite", id="psi-not-finite"),
+    pytest.param(lambda: est.LassoConfig.constant(0.5).penalties(INFINITE), ValueError,
+                 "design X must be finite", id="constant-penalties-not-finite"),
+    pytest.param(lambda: est.LassoConfig.eta_psi(0.5).penalties(INFINITE), ValueError,
+                 "design X must be finite", id="eta-psi-penalties-not-finite"),
+    # cond(X'X) = 6.25e18 passes the rank test, but the Gram inverse gives no
+    # xi: at n = 404 its diagonal is not positive, at n = 8 it is singular
+    pytest.param(lambda: est.xi_values(est.make_design(est.DesignSpec("II", 404, 4, c=C_EDGE))),
+                 est.SingularDesignError, "xi is not computable", id="xi-gram-not-positive"),
+    pytest.param(lambda: est.xi_values(est.make_design(est.DesignSpec("II", 8, 4, c=C_EDGE))),
+                 est.SingularDesignError, "xi is not computable", id="xi-gram-singular"),
     (lambda: est.LassoConfig("ridge", 0.5), ValueError, "rule must be one of"),
     (lambda: est.LassoConfig.per_component([0.1, 0.2]).penalties(np.eye(4, 3)),
      ValueError, "need 3 per-component penalties"),
