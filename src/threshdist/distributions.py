@@ -254,12 +254,28 @@ class _Conservative(MixtureDistribution):
     plus a density.
 
     The known-sigma families are closed forms with atom weight
-    Phi(-nu + e) - Phi(-nu - e); they broadcast over an array ``e``, and
-    ``_turn(x)`` is the e at which their law at x changes form.
+    Phi(-nu + e) - Phi(-nu - e); they broadcast over an array ``e``.  At x,
+    ``_turn(x)`` is the e at which their law changes form and
+    ``_crossing(x)`` the e at which the argument of its Phi crosses zero.
     """
 
     nu: float
     e: float
+
+    def __post_init__(self):
+        # inside the rho averages e is an array of thresholds s * e
+        low = self.e if type(self.e) is float else np.min(self.e)
+        if math.isnan(self.nu):
+            raise ValueError("nu must not be NaN")
+        if math.isnan(low):
+            raise ValueError("e must not be NaN")
+        if low < 0.0:
+            raise ValueError(f"e must be nonnegative, got {self.e!r}")
+
+    def _turn_width(self, turn):
+        """The width in e of the feature at the turn: the arguments of Phi
+        move by one per unit of e."""
+        return 1.0
 
     @property
     def atom_weight(self):
@@ -280,6 +296,9 @@ class ExcisedNormal(_Conservative):
     def _turn(self, x):
         return abs(x + self.nu)
 
+    def _crossing(self, x):
+        return abs(self.nu)
+
     def _cdf(self, x):
         u = x + self.nu
         return np.where(abs(u) > self.e, sf.normal_cdf(x),
@@ -295,6 +314,8 @@ class SoftShiftNormal(_Conservative):
     def _turn(self, x):
         return abs(x)
 
+    _crossing = _turn
+
     def _cdf(self, x):
         return sf.normal_cdf(x + _side(x + self.nu) * self.e)
 
@@ -303,16 +324,26 @@ class SoftShiftNormal(_Conservative):
         return abs(side) * sf.normal_pdf(x + side * self.e)
 
 
-@dataclass(frozen=True)  # so that __init__ calls __post_init__
 class AdaptiveKnown(_Conservative):
     """Conservative-tuning law of the adaptive soft estimator, known sigma."""
 
     def __post_init__(self):
+        super().__post_init__()
         if not math.isfinite(self.nu):
             raise ValueError("this family is defined for finite nu only")
 
     def _turn(self, x):
         return 0.5 * abs(x + self.nu)
+
+    def _turn_width(self, turn):
+        """hypot((x + nu) / 2, e) bends over an e of the turn's own size."""
+        return np.minimum(1.0, turn)
+
+    def _crossing(self, x):
+        """sqrt(-x * nu) where x * nu < 0, written so that it cannot
+        overflow; inf, which adds no edges, where there is no crossing."""
+        return np.where(x * np.sign(self.nu) < 0.0, np.sqrt(abs(x)) * math.sqrt(abs(self.nu)),
+                        math.inf)
 
     def _roots(self, x):
         """The center of the two roots bounding the branches, and half their distance."""
@@ -333,8 +364,9 @@ class AdaptiveKnown(_Conservative):
 class _Smoothed(_Conservative):
     """The known-sigma family ``known`` with e replaced by s*e, averaged over
     s ~ rho_m, the law of sigmahat/sigma at m residual dof, by one
-    :func:`special.rho_average` call.  Its breakpoint in s is where the
-    known law turns: known._turn(x) / e, and |nu| / e for the atom weight.
+    :func:`special.rho_average` call.  Its breakpoints in s are the known
+    law's turn and crossing, and |nu| for the atom weight, divided by e, and
+    so are their widths.
     """
 
     m: int
@@ -342,26 +374,34 @@ class _Smoothed(_Conservative):
     known: ClassVar[type]
 
     def __post_init__(self):
-        self.known(self.nu, self.e)  # the known family validates nu
+        self.known(self.nu, self.e)  # the known family validates nu and e
 
-    def _average(self, law, x, turn):
+    def _average(self, law, x, places, widths):
         """E law(known(nu, S*e), x) over S ~ rho_m, where the known law at x
-        turns at S*e = turn."""
+        has features at S*e in ``places``, of the widths in ``widths``."""
         if self.e == 0.0:  # the known law does not depend on S
             return law(self.known(self.nu, 0.0), x)
+        brk, h = np.empty((2, *np.shape(x), len(places)))
+        for j, (place, width) in enumerate(zip(places, widths)):
+            brk[..., j], h[..., j] = place, width
         val = sf.rho_average(self.m, lambda xs, s: law(self.known(self.nu, s * self.e), xs),
-                             x, turn / self.e)
+                             x, brk / self.e, h / self.e)
         return val.reshape(np.shape(x))
 
+    def _law(self, law, x):
+        known = self.known(self.nu, self.e)
+        turn = known._turn(x)
+        return self._average(law, x, (turn, known._crossing(x)), (known._turn_width(turn), 1.0))
+
     def _cdf(self, x):
-        return self._average(self.known._cdf, x, self.known(self.nu, self.e)._turn(x))
+        return self._law(self.known._cdf, x)
 
     def _density(self, x):
-        return self._average(self.known._density, x, self.known(self.nu, self.e)._turn(x))
+        return self._law(self.known._density, x)
 
     @property
     def atom_weight(self) -> float:
-        weight = self._average(lambda law, _: law.atom_weight, self.nu, abs(self.nu))
+        weight = self._average(lambda law, _: law.atom_weight, self.nu, (abs(self.nu),), (1.0,))
         return float(np.clip(weight, 0.0, 1.0))
 
 

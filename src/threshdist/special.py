@@ -45,14 +45,14 @@ DEFAULT_TOL = 1e-10
 SUPPORT_TAIL_MASS = 1e-14
 
 # The composite rule of :func:`rho_average`.  BASE_PANELS equal panels of
-# width w span the truncated support; around each breakpoint c the edges
-# c +- w * GRADING_RATIO**j, j = 1..GRADING_LEVELS, resolve features down to
-# about 2e-8 * w on either side of c, such as the rise and the bump of width
-# 1/b next to c in the hard and soft laws at threshold b, and the
-# adaptive-soft law at one dof next to its atom.
+# width w span the truncated support.  Each breakpoint c comes with the width
+# h of its feature, such as the rise or the bump of width 1/b next to c in the
+# hard and soft laws at threshold b, or the turn of the adaptive-soft law next
+# to its atom, whose width is c itself; the edges c +- h * LADDER_RATIO**j,
+# j = 0, 1, ... while h * LADDER_RATIO**j < w, resolve it and grade outward
+# from it to the scale of the base panels.
 BASE_PANELS = 6
-GRADING_RATIO = 0.2
-GRADING_LEVELS = 11
+LADDER_RATIO = 5.0
 #: Gauss-Legendre nodes per panel; each panel is checked against twice as many
 RULE_NODES = 10
 #: (panel x node) elements evaluated at once, which bounds the temporaries
@@ -107,14 +107,24 @@ def _log_rho(m: int, s):
     K = log 2 + a log a - a - lgamma(a).  Where rho_m has its mass, d is of
     order m^-1/2 and every term but K is O(1), so the rounding does not grow
     with m, as it does in logc + (m - 1) log s - a s^2, whose terms are O(m)."""
+    d = s - 1.0
+    return _rho_rule(m)[0] + (m - 1.0) * (np.log1p(d) - d) - d - 0.5 * m * d * d
+
+
+@lru_cache(maxsize=64)
+def _rho_rule(m: int) -> tuple[float, np.ndarray]:
+    """The constants of the rho_m rule, computed once per m: K of
+    :func:`_log_rho` and the read-only edges of the BASE_PANELS equal panels
+    on the truncated support."""
     a = 0.5 * m
     if a < 50.0:
         k = math.log(2.0) + a * math.log(a) - a - math.lgamma(a)
     else:
         # Stirling's series for lgamma; the next term is below 1e-15
         k = 0.5 * math.log(m / math.pi) - (1 / 12 - (1 / 360 - 1 / (1260 * a * a)) / (a * a)) / a
-    d = s - 1.0
-    return k + (m - 1.0) * (np.log1p(d) - d) - d - a * d * d
+    base = np.linspace(*rho_support(m), BASE_PANELS + 1)
+    base.flags.writeable = False
+    return k, base
 
 
 def rho_density(m, s):
@@ -260,30 +270,39 @@ def integrate_panels(f: Callable, edges: np.ndarray, tol: float) -> np.ndarray:
                           f"{worst:.3e} > {tol:.3e})", error=worst)
 
 
-def rho_average(m: int, f: Callable, x, breakpoints) -> np.ndarray:
+def rho_average(m: int, f: Callable, x, breakpoints, widths) -> np.ndarray:
     """E f(x_i, S), S ~ rho_m, at every point x_i, each to absolute tolerance
     DEFAULT_TOL.
 
     ``f(x, s)`` must broadcast: it is called with ``x`` of shape (p, 1) and
     ``s`` of shape (p, q).  Row i of ``breakpoints`` lists the points in s
-    where ``f(x_i, .)`` jumps or turns sharply.  Point i gets its own panels
-    on the truncated support: BASE_PANELS equal ones, plus edges graded
-    geometrically toward each of its breakpoints from both sides.  Edges
+    where ``f(x_i, .)`` jumps or turns sharply, and row i of ``widths``, of
+    the same size, the width of each of those features.  Point i gets its
+    own panels on the truncated support: BASE_PANELS equal ones of width w,
+    plus the edges c and c +- h * LADDER_RATIO**j while
+    h * LADDER_RATIO**j < w for each of its breakpoints c of width h.  Edges
     past the support are clipped to it, and the empty panels they leave are
-    skipped.  Those panels are chosen before any error estimate;
-    :func:`integrate_panels` then bisects the ones whose two rules disagree.
+    skipped; a breakpoint at inf adds none.  Those panels are chosen before
+    any error estimate; :func:`integrate_panels` then bisects the ones whose
+    two rules disagree.
     """
     m = _check_dof(m)
     x = np.asarray(x, dtype=float).ravel()
     if x.size == 0:
         return np.empty(0)
     brk = np.asarray(breakpoints, dtype=float).reshape(x.size, -1)
-    lo, hi = rho_support(m)
-    base = np.linspace(lo, hi, BASE_PANELS + 1)
-    steps = (hi - lo) / BASE_PANELS * GRADING_RATIO ** np.arange(1, GRADING_LEVELS + 1)
-    offsets = np.concatenate([-steps[::-1], [0.0], steps])
+    h = np.asarray(widths, dtype=float).reshape(brk.shape)
+    base = _rho_rule(m)[1]
+    w = base[1] - base[0]
+    # enough rungs for the narrowest feature; a rung of w or more falls back
+    # onto its breakpoint, where it leaves an empty panel
+    narrowest = np.min(h, initial=w, where=h > 0.0)
+    powers = LADDER_RATIO ** np.arange(
+        1 + math.ceil((math.log(w) - math.log(narrowest)) / math.log(LADDER_RATIO)))
+    rungs = h[:, :, None] * np.concatenate([-powers, [0.0], powers])
+    rungs = np.where(abs(rungs) < w, rungs, 0.0)
     edges = np.concatenate([np.broadcast_to(base, (x.size, base.size)),
-                            (brk[:, :, None] + offsets).reshape(x.size, -1)], axis=1)
-    edges = np.sort(np.clip(edges, lo, hi), axis=1)
+                            (brk[:, :, None] + rungs).reshape(x.size, -1)], axis=1)
+    edges = np.sort(np.clip(edges, base[0], base[-1]), axis=1)
     return integrate_panels(lambda i, s: f(x[i, None], s) * np.exp(_log_rho(m, s)), edges,
                             DEFAULT_TOL)

@@ -409,7 +409,9 @@ class TestSmoothedLaws:
     def test_needle_points_against_mpmath(self, kind, m, z, monkeypatch):
         # b = sqrt(n) * eta = 50 and shift 40; with alpha = sqrt(n) / xi the
         # point x is its own standardized point.  The known-variance cdf at
-        # threshold s*b is written out here in mpmath
+        # threshold s*b is written out here in mpmath.  Where the edges laid
+        # out before any error estimate resolve the needle, the value without
+        # bisection already holds
         import mpmath
 
         spec = fd.ComponentSpec(10_000, 1.0, 0.4, 1.0, 0.5)
@@ -428,8 +430,11 @@ class TestSmoothedLaws:
         want = mpmath_average(m, known, cuts)
         with monkeypatch.context() as patch:
             patch.setattr(sf, "MAX_BISECTIONS", 0)
-            with pytest.raises(sf.QuadratureError):  # the point needs bisection
-                fd.cdf(kind, fd.VarianceMode(m), spec, z)
+            if (kind, m, z) != (fd.HARD, 1, 0.5):
+                with pytest.raises(sf.QuadratureError):  # the point needs bisection
+                    fd.cdf(kind, fd.VarianceMode(m), spec, z)
+            else:
+                assert abs(fd.cdf(kind, fd.VarianceMode(m), spec, z) - want) <= 1e-10
         assert abs(fd.cdf(kind, fd.VarianceMode(m), spec, z) - want) <= 1e-10
 
     def test_adaptive_density_next_to_the_atom_against_mpmath(self):
@@ -519,6 +524,84 @@ class TestSmoothedLaws:
         cuts = {1.0 + k / b for k in (-12, -6, -3, -1, 0, 1, 3, 6, 12)}
         assert abs(mpmath_average(m, lambda s: mpmath.npdf(x + s * b), cuts) - want) <= 1e-16
         assert abs(fd.ac_density(fd.SOFT, fd.VarianceMode(m), spec, x) - want) <= 1e-10
+
+    @pytest.mark.parametrize("x", [-0.96, -0.5, -0.3, -0.02])
+    @pytest.mark.parametrize("m", [1, 4, 40])
+    def test_adaptive_at_a_large_threshold_against_mpmath(self, m, x):
+        # nu = b = 1e4 under alpha = 1 / (xi * eta): the standardized point is
+        # z = 1e4 * x.  The known-variance cdf Phi(g), g = (z - nu) / 2 +
+        # hypot((z + nu) / 2, s*b), has g cross zero at s = sqrt(-z * nu) / b,
+        # far from the turn at (z + nu) / (2 b), over a width 1 / |dg/ds|.
+        # Only edges laid out at that crossing let the rules see it
+        import mpmath
+
+        spec = fd.ComponentSpec(10 ** 8, 1.0, 1.0, 1.0, 1.0, alpha=1.0)
+        nu = b = 1e4
+        z = 1e4 * x
+        crossing = math.sqrt(-z * nu) / b
+        width = (nu - z) / (2.0 * b * b * crossing)
+        cuts = {crossing + k * width for k in (-12, -6, -3, -1, 0, 1, 3, 6, 12)}
+        cuts = {c for c in cuts if c > 0.0} | {(z + nu) / (2.0 * b), 3.0}
+
+        def phi_argument(s):
+            half = mpmath.hypot((z + nu) / 2.0, s * b)
+            return (z - nu) / 2.0 + half, half
+
+        def density(s):
+            g, half = phi_argument(s)
+            return 1e4 * mpmath.npdf(g) * (1.0 + (z + nu) / (2.0 * half)) / 2.0
+
+        mode = fd.VarianceMode(m)
+        want = mpmath_average(m, lambda s: mpmath.ncdf(phi_argument(s)[0]), cuts)
+        assert abs(fd.cdf(fd.ADAPTIVE, mode, spec, x) - want) <= 1e-10
+        want = mpmath_average(m, density, cuts)
+        assert abs(fd.ac_density(fd.ADAPTIVE, mode, spec, x) - want) <= 1e-10
+
+    def test_soft_at_a_large_threshold_against_its_closed_form(self):
+        # nu = b = 1e4.  At x = 0 the known-variance soft cdf is Phi(s*b),
+        # which rises over a width 1/b next to s = 0; at one dof S is |Z|, so
+        # the cdf is E Phi(b |Z|) = 1/2 + arctan(b) / pi
+        spec = fd.ComponentSpec(10 ** 8, 1.0, 1.0, 1.0, 1.0, alpha=1.0)
+        want = 0.5 + math.atan(1e4) / math.pi
+        assert abs(want - 0.999968169011) <= 1e-12
+        assert abs(fd.cdf(fd.SOFT, fd.VarianceMode(1), spec, 0.0) - want) <= 1e-10
+
+    def test_hard_at_a_large_threshold_against_mpmath(self):
+        # nu = b = 1e4.  At x = -0.5, z = -5e3, the known-variance cdf is
+        # Phi(z) below the jump at s = (z + nu) / b = 0.5 and Phi(-nu + s*b)
+        # above it, a rise of width 1e-4 at the crossing s = nu / b = 1
+        import mpmath
+
+        spec = fd.ComponentSpec(10 ** 8, 1.0, 1.0, 1.0, 1.0, alpha=1.0)
+        nu = b = 1e4
+        z = -5e3
+
+        def known(s):
+            return mpmath.ncdf(z) if s * b < z + nu else mpmath.ncdf(-nu + s * b)
+
+        cuts = {0.5, 3.0} | {1.0 + k / b for k in (-12, -6, -3, -1, 0, 1, 3, 6, 12)}
+        want = mpmath_average(4, known, cuts)
+        assert abs(want - 0.40600585512324905) <= 1e-16
+        assert abs(fd.cdf(fd.HARD, M4, spec, -0.5) - want) <= 1e-10
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_default_tuning_grids_need_few_panels(self, m, monkeypatch):
+        # a 601-point grid at the default threshold b near 2 lays out at most
+        # 12 nonempty panels per point, on average, before any bisection
+        counts = []
+        integrate_panels = sf.integrate_panels
+
+        def counted(f, edges, tol):
+            counts.append(np.count_nonzero(edges[:, 1:] != edges[:, :-1], axis=1).mean())
+            return integrate_panels(f, edges, tol)
+
+        monkeypatch.setattr(sf, "integrate_panels", counted)
+        x = np.linspace(-6.0, 6.0, 601)
+        for kind in fd.KINDS:
+            for theta in (0.0, 0.5, 1.5):
+                for law in (fd.cdf, fd.ac_density):
+                    law(kind, fd.VarianceMode(m), spec8(theta), x)
+        assert len(counts) == 18 and max(counts) <= 12.0
 
     @pytest.mark.parametrize("mode", [fd.KNOWN, M4], ids=["known", "m4"])
     def test_scalar_and_array_agree(self, mode):

@@ -77,6 +77,19 @@ C_EDGE = -0.2499999999
     (lambda: lm.EscapesToInfinity(0), ValueError, "direction must be +1 or -1"),
     (lambda: lm.limit_selection_probability(lm.RegimeParams(e=1.0, nu=0.0), "guessed"),
      ValueError, "mode must be 'known' or 'unknown'"),
+    # the conservative families take the checks of RegimeParams
+    pytest.param(lambda: lm.ExcisedNormal(0.3, -1.0), ValueError,
+                 "e must be nonnegative, got -1.0", id="excised-negative-e"),
+    pytest.param(lambda: lm.ExcisedNormal(0.3, np.nan).cdf(0.1), ValueError,
+                 "e must not be NaN", id="excised-nan-e"),
+    pytest.param(lambda: lm.HardSmoothed(0.3, np.nan, 4), ValueError, "e must not be NaN",
+                 id="hard-smoothed-nan-e"),
+    pytest.param(lambda: lm.SoftSmoothed(0.3, -1.0, 4), ValueError,
+                 "e must be nonnegative, got -1.0", id="soft-smoothed-negative-e"),
+    pytest.param(lambda: lm.SoftShiftNormal(np.nan, 1.0), ValueError, "nu must not be NaN",
+                 id="soft-nan-nu"),
+    pytest.param(lambda: lm.AdaptiveSmoothed(np.nan, 1.0, 4), ValueError, "nu must not be NaN",
+                 id="adaptive-smoothed-nan-nu"),
     (lambda: mc.EmpiricalMixedCdf(np.array([]), 0.0), ValueError, "need at least one sample"),
     (lambda: sf.rho_quantile(4, 1.0), ValueError, "quantile argument must lie strictly in (0, 1)"),
     (lambda: sf.integrate_rho(4, lambda s: s, tol=0.0), ValueError, "tol must be positive"),

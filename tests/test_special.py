@@ -104,7 +104,7 @@ class TestRho:
         # in the weight would keep the two rules of a panel apart and set off
         # bisections, which the time bound catches.
         start = time.perf_counter()
-        mass = float(sf.rho_average(m, lambda x, s: np.ones_like(s), 0.0, [[1.0]])[0])
+        mass = float(sf.rho_average(m, lambda x, s: np.ones_like(s), 0.0, [[1.0]], [[1.0]])[0])
         assert abs(mass - (1.0 - 2.0 * sf.SUPPORT_TAIL_MASS)) <= 1e-10
         assert time.perf_counter() - start < 1.0
 
@@ -135,18 +135,27 @@ class TestRho:
         assert np.allclose(sf.integrate_panels(f, edges, 1e-10), [2.0, 1.0], rtol=0.0, atol=1e-14)
 
     def test_rho_average_mesh(self, monkeypatch):
-        # the base panels of width w plus the edges c +- w * GRADING_RATIO**j
-        # graded toward each breakpoint c from both sides, clipped to the
-        # support
+        # the base panels of width w plus, for each breakpoint c of width h,
+        # the edges c and c +- h * LADDER_RATIO**j while h * LADDER_RATIO**j
+        # < w, clipped to the support; repeated edges leave empty panels
         seen = []
         monkeypatch.setattr(sf, "integrate_panels", lambda f, edges, tol: seen.append(edges))
-        m, c = 4, 0.013
-        sf.rho_average(m, lambda x, s: np.ones_like(s), 0.0, [[c]])
+        m, cuts, widths = 4, [0.013, 1.2, 2.0, math.inf], [0.013, 1e-4, 1.0, 1.0]
+        sf.rho_average(m, lambda x, s: np.ones_like(s), 0.0, [cuts], [widths])
         lo, hi = sf.rho_support(m)
         base = np.linspace(lo, hi, sf.BASE_PANELS + 1)
-        steps = (base[1] - base[0]) * sf.GRADING_RATIO ** np.arange(1, sf.GRADING_LEVELS + 1)
-        want = np.sort(np.clip(np.concatenate([base, [c], c - steps, c + steps]), lo, hi))
-        assert np.allclose(seen[0][0], want, rtol=1e-15, atol=0.0)
+        want = list(base)
+        for c, h in zip(cuts, widths):
+            want.append(c)
+            j = 0
+            while h * sf.LADDER_RATIO ** j < base[1] - base[0]:
+                want += [c - h * sf.LADDER_RATIO ** j, c + h * sf.LADDER_RATIO ** j]
+                j += 1
+        want = np.unique(np.clip(want, lo, hi))
+        assert np.all(np.diff(seen[0][0]) >= 0.0)
+        got = np.unique(seen[0][0])
+        assert got.shape == want.shape and want.size == 25
+        assert np.allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 class TestChiSquareTail:
@@ -179,9 +188,10 @@ class TestNoncentralT:
 
     @staticmethod
     def smoothed(m, c, x):
-        # the argument of Phi changes sign at s = c / x
-        turn = [abs(c / x) if x else 1.0]
-        return float(sf.rho_average(m, lambda xs, s: sf.normal_cdf(xs * s - c), x, [turn])[0])
+        # the argument of Phi changes sign at s = c / x, over a width 1 / |x|
+        turn, width = ([abs(c / x)], [1.0 / abs(x)]) if x else ([1.0], [1.0])
+        return float(sf.rho_average(m, lambda xs, s: sf.normal_cdf(xs * s - c), x, [turn],
+                                    [width])[0])
 
     def test_central_symmetric_case(self):
         assert abs(self.smoothed(4, 0.0, 0.0) - 0.5) <= 1e-10
@@ -196,4 +206,4 @@ class TestNoncentralT:
 
     def test_invalid_dof(self):
         with pytest.raises(ValueError):
-            sf.rho_average(0, lambda xs, s: sf.normal_cdf(xs * s - 1.0), 0.5, [[1.0]])
+            sf.rho_average(0, lambda xs, s: sf.normal_cdf(xs * s - 1.0), 0.5, [[1.0]], [[1.0]])
