@@ -342,12 +342,14 @@ def _lasso_rows(design: _Design, theta_ls: np.ndarray, sigma_hat: np.ndarray,
     it left.  The row finishes at tau = 1 with theta_A = u - v and exact zeros
     off A.
 
-    Each pass inverts G_AA once for every support A among its open rows,
-    zero-padded to k x k, and applies each row's inverse and G with einsum
-    contractions in a fixed order, so a row's result does not depend on the
-    batch.  The exact path visits each of the 3^k (support, sign) patterns at
-    most once, so a row still open after 3^k passes is caught in a rounding
-    cycle and raises :class:`NonConvergenceError`."""
+    Each pass makes one stacked solve: every open row's k x k system is G_AA
+    on its support A and the identity off it, solved for d and v at once.
+    A solve is backward stable, where multiplying by an explicit inverse is
+    not.  numpy factors each row's system on its own, and G is applied by
+    einsum contractions in a fixed order, so a row's result does not depend
+    on the batch.  The exact path visits each of the 3^k (support, sign)
+    patterns at most once, so a row still open after 3^k passes is caught in
+    a rounding cycle and raises :class:`NonConvergenceError`."""
     bad = ~(np.isfinite(sigma_hat) & (sigma_hat > 0))
     if bad.any():
         raise ValueError(f"sigma_hat must be finite and positive, got {sigma_hat[bad][0]!r}")
@@ -365,19 +367,19 @@ def _lasso_rows(design: _Design, theta_ls: np.ndarray, sigma_hat: np.ndarray,
     tau = np.zeros(len(theta_ls))
     rows = np.arange(len(theta_ls))
     out = np.empty_like(theta_ls)
+    eye = np.eye(k)
     for _ in range(3 ** k):
         active = sign != 0.0
-        # one exact key per support, whatever k: the bytes of its mask
-        _, first, which = np.unique(active.view(f"V{k}").ravel(), return_index=True,
-                                    return_inverse=True)
-        inv = np.zeros((first.size, k, k))
-        for block, on in zip(inv, active[first]):
-            block[np.ix_(on, on)] = np.linalg.inv(gram[np.ix_(on, on)])
-        inv = inv[which]
+        # each row's system, G_AA on its support A and the identity off it,
+        # solved for (G off) masked to A, which gives d, and for t * s, which
+        # gives v; on the full support off = 0, so d = 0 exactly
+        system = np.where(active[:, :, None] & active[:, None, :], gram, eye)
         off = np.where(active, 0.0, theta_ls)
-        d = off - np.einsum("rij,rj->ri", inv, np.einsum("ij,rj->ri", gram, off))
+        rhs = np.stack([np.where(active, np.einsum("ij,rj->ri", gram, off), 0.0), t * sign], 2)
+        solved = np.linalg.solve(system, rhs)
+        d = off - solved[:, :, 0]
         u = theta_ls - d
-        v = np.einsum("rij,rj->ri", inv, t * sign)
+        v = solved[:, :, 1]
         p = np.einsum("ij,rj->ri", gram, d)
         q = np.einsum("ij,rj->ri", gram, v)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -35,9 +35,14 @@ def _check(fn):
 
 @_check
 def rho_normalization():
+    # the mass through the QUADPACK oracle, and through the panel engine of
+    # every law up to MAX_DOF
     for m in range(1, 65):
         total = sf.integrate_rho(m, lambda s: 1.0)
         assert abs(total - 1.0) <= 1e-10, f"m={m}: integral {total}"
+    for m in (*range(1, 65), 10 ** 9, 10 ** 13, 10 ** 15, sf.MAX_DOF):
+        total = sf.rho_average(m, lambda x, s: np.ones_like(s), 0.0, [[1.0]], [[1.0]])[0]
+        assert abs(total - 1.0) <= 1e-10, f"m={m}: rho_average integral {total}"
 
 
 @_check
@@ -381,8 +386,8 @@ def lasso_diagonal_closed_forms():
     # on a diagonal design the batched solvers of run_study give the closed
     # forms: the lasso is soft and the adaptive lasso adaptive soft
     # thresholding, replication by replication, for known and estimated sigma.
-    # At k = 70 the supports differ only past the 64th coordinate, where a
-    # 64-bit support key could not tell them apart.
+    # At k = 70 the supports differ only past the 64th coordinate, so each
+    # row must solve its own support's system, whatever the other rows'.
     base = mc.SimConfig(design=est.DesignSpec("I", 8, 4, rho=0.0), theta=(3.0, 1.5, 0.0, 0.0),
                         sigma=1.0, estimator="lasso", reps=400, seed=6)
     configs = [replace(base, estimator=solver, feasible=feasible)

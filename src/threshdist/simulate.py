@@ -12,8 +12,8 @@ drawn, fitted, given its residual scales and estimated before the next
 block reuses the buffer, so a study holds O(reps * k) memory, not a
 ``(reps, n)`` response matrix.  A block holds about ``STREAM_ELEMENTS``
 response values, and a lasso or adaptive-lasso block also bounds the
-``(rows, k, k)`` stack of Gram inverses that each pass of its homotopy
-gathers.  The ``(seed, replication)`` streams and each replication's
+``(rows, k, k)`` stack of support systems that each pass of its homotopy
+solves.  The ``(seed, replication)`` streams and each replication's
 results are bit-identical whatever the block size and the replication
 count, as every step works row by row in a fixed order.
 
@@ -67,7 +67,7 @@ __all__ = [
 ESTIMATORS = (HARD, SOFT, ADAPTIVE, "lasso", "adaptive-lasso")
 
 #: values per block of replications, which bounds both the (rows, n) response
-#: rows of a study and the (rows, k, k) Gram inverses of a lasso homotopy
+#: rows of a study and the (rows, k, k) support systems of a lasso homotopy
 #: pass; the results do not depend on it
 STREAM_ELEMENTS = 1 << 17
 
@@ -198,7 +198,7 @@ def run_study(config: SimConfig) -> SimResult:
     # the replications stream through one block of rows, drawn, fitted and
     # estimated row by row, so every row's results are the same bits whatever
     # the block; a block bounds both its response rows and the (rows, k, k)
-    # Gram inverses that each homotopy pass gathers
+    # support systems that each homotopy pass solves
     mean = design.X @ theta
     rows = min(config.reps, max(1, STREAM_ELEMENTS // (max(n, k * k) if lasso else n)))
     Y = np.empty((rows, n))

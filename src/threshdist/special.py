@@ -59,6 +59,12 @@ RULE_NODES = 10
 BLOCK_ELEMENTS = 1 << 13
 #: times a panel that misses its share of the tolerance may be bisected
 MAX_BISECTIONS = 40
+#: residual dof from which :func:`_log_rho` sums log1p(d) - d by its series
+#: and :func:`rho_average` places its nodes in d = s - 1
+SERIES_DOF = 1 << 20
+#: the largest residual dof of the rho routines: up to it the rho mass is
+#: within 1e-13 of 1, and laws first fail to integrate past 1e24
+MAX_DOF = 10 ** 18
 
 
 class QuadratureError(RuntimeError):
@@ -74,6 +80,9 @@ class QuadratureError(RuntimeError):
 def _check_dof(m) -> int:
     if not (isinstance(m, (int, np.integer)) and m >= 1):
         raise ValueError(f"degrees of freedom must be a positive integer, got {m!r}")
+    if m > MAX_DOF:
+        shown = m if m < 10 ** 30 else f"about 1e{len(str(m)) - 1}"
+        raise ValueError(f"degrees of freedom must be at most {MAX_DOF:.0e}, got {shown}")
     return int(m)
 
 
@@ -101,14 +110,25 @@ def normal_quantile(p):
     return out if out.ndim else float(out)
 
 
-def _log_rho(m: int, s):
-    """log rho_m(s) for s > 0, written about s = 1: with a = m/2 and d = s - 1,
+def _log_rho(m: int, d):
+    """log rho_m(1 + d) for d > -1, written about s = 1: with a = m/2,
     it is K + (m - 1)(log1p(d) - d) - d - a d^2, where
     K = log 2 + a log a - a - lgamma(a).  Where rho_m has its mass, d is of
     order m^-1/2 and every term but K is O(1), so the rounding does not grow
-    with m, as it does in logc + (m - 1) log s - a s^2, whose terms are O(m)."""
-    d = s - 1.0
-    return _rho_rule(m)[0] + (m - 1.0) * (np.log1p(d) - d) - d - 0.5 * m * d * d
+    with m, as it does in logc + (m - 1) log s - a s^2, whose terms are O(m).
+
+    From SERIES_DOF on, log1p(d) - d, whose absolute rounding of about
+    eps |d| the factor m - 1 would multiply, is summed instead as
+    -u d + 2 (u^3/3 + u^5/5 + u^7/7 + u^9/9) with u = d / (2 + d), to a
+    relative error of about eps: wherever exp(log rho_m) does not underflow,
+    |u| < 0.014, so the next term is about 2e-18 of the sum."""
+    if m < SERIES_DOF:
+        g = np.log1p(d) - d
+    else:
+        u = d / (2.0 + d)
+        v = u * u
+        g = 2.0 * u * v * (1 / 3 + v * (1 / 5 + v * (1 / 7 + v / 9))) - u * d
+    return _rho_rule(m)[0] + (m - 1.0) * g - d - 0.5 * m * d * d
 
 
 @lru_cache(maxsize=64)
@@ -131,7 +151,7 @@ def rho_density(m, s):
     """Density of sqrt(chi2_m/m): 2*m*s*g_m(m*s**2) for s > 0, else 0."""
     m = _check_dof(m)
     s = np.asarray(s, dtype=float)
-    out = np.where(s > 0, np.exp(_log_rho(m, np.where(s > 0, s, 1.0))), 0.0)
+    out = np.where(s > 0, np.exp(_log_rho(m, np.where(s > 0, s, 1.0) - 1.0)), 0.0)
     return out if out.ndim else float(out)
 
 
@@ -184,7 +204,7 @@ def integrate_rho(m: int, f: Callable[[float], float], tol: float = DEFAULT_TOL,
     pts = sorted(float(b) for b in breakpoints or () if lo < b < hi)
 
     def integrand(s: float) -> float:
-        return f(s) * math.exp(_log_rho(m, s))
+        return f(s) * math.exp(_log_rho(m, s - 1.0))
 
     # imported on first use: scipy.integrate also loads scipy.optimize, and
     # only the checks' oracles need it
@@ -304,5 +324,11 @@ def rho_average(m: int, f: Callable, x, breakpoints, widths) -> np.ndarray:
     edges = np.concatenate([np.broadcast_to(base, (x.size, base.size)),
                             (brk[:, :, None] + rungs).reshape(x.size, -1)], axis=1)
     edges = np.sort(np.clip(edges, base[0], base[-1]), axis=1)
-    return integrate_panels(lambda i, s: f(x[i, None], s) * np.exp(_log_rho(m, s)), edges,
-                            DEFAULT_TOL)
+    if m >= SERIES_DOF:
+        # the support is so narrow that a node in s would round by a visible
+        # share of it, so the nodes are placed in d = s - 1, where they round
+        # relative to d
+        return integrate_panels(lambda i, d: f(x[i, None], 1.0 + d) * np.exp(_log_rho(m, d)),
+                                edges - 1.0, DEFAULT_TOL)
+    return integrate_panels(lambda i, s: f(x[i, None], s) * np.exp(_log_rho(m, s - 1.0)),
+                            edges, DEFAULT_TOL)

@@ -45,13 +45,30 @@ class TestSelprob:
         assert abs(float(out.splitlines()[1]) - 0.95) <= 1e-12
 
     def test_unknown_variance_at_a_billion_dof(self, capsys):
-        # the rho_m weight is exact at any dof, so the smoothed law is the
+        # the rho_m weight is exact up to MAX_DOF, so the smoothed law is the
         # known-variance one up to the O(1/dof) effect of estimating sigma
         args = ("selprob", "--n", "8", "--theta", "0.3")
         code, out, _ = run_cli(capsys, *args, "--mode", "unknown", "--dof", "1000000000")
         assert code == 0
         _, known, _ = run_cli(capsys, *args, "--mode", "known")
         assert abs(float(out.splitlines()[1]) - float(known.splitlines()[1])) <= 1e-8
+
+    def test_limiting_value_at_a_large_dof(self, capsys):
+        # the conservative limit at e = 1, nu = 0 deletes with probability
+        # 2 Phi(1) - 1 under known variance, and up to O(1/dof) under estimated
+        code, out, err = run_cli(capsys, "selprob", "--limit", "--e", "1", "--nu", "0",
+                                 "--mode", "unknown", "--dof", "1e15")
+        assert code == 0 and err == ""
+        assert abs(float(out.splitlines()[1]) - (2.0 * sf.normal_cdf(1.0) - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("dof, shown", [("1e19", "10000000000000000000"),
+                                            ("1e300", "about 1e300")])
+    def test_dof_past_the_supported_range_is_named(self, capsys, dof, shown):
+        code, out, err = run_cli(capsys, "selprob", "--limit", "--e", "1", "--nu", "0",
+                                 "--mode", "unknown", "--dof", dof)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == ("degrees of freedom must be at most 1e+18, "
+                                            f"got {shown}")
 
     def test_unknown_mode_needs_dof(self, capsys):
         code, _, err = run_cli(capsys, "selprob", "--theta", "0", "--n", "8",

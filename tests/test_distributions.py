@@ -358,6 +358,19 @@ class TestSmoothedLaws:
                 want = [quadpack(law, kind, m, spec, float(v)) for v in x]
                 assert np.max(np.abs(got - want)) <= 1e-10, (law.__name__, m)
 
+    def test_largest_dof_gives_the_known_law(self):
+        # at MAX_DOF the rho weight spans about 1e-8 about s = 1, and the soft
+        # cdf and the deletion probability are smooth in s, so they are their
+        # known-variance values up to O(1 / dof)
+        mode = fd.VarianceMode(sf.MAX_DOF)
+        x = np.linspace(-5.0, 5.0, 21)
+        for theta in (0.0, 0.3, 1.5):
+            spec = spec8(theta, xi=1.3)
+            got = fd.cdf(fd.SOFT, mode, spec, x)
+            assert np.max(np.abs(got - fd.cdf(fd.SOFT, fd.KNOWN, spec, x))) <= 1e-10
+            gap = fd.deletion_probability(spec, mode) - fd.deletion_probability(spec)
+            assert abs(gap) <= 1e-10
+
     def test_points_that_miss_the_tolerance_are_bisected(self, monkeypatch):
         # four nodes per panel against eight miss 1e-10 on some panel of every
         # point; bisection, not QUADPACK, brings each point in

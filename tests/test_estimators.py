@@ -346,28 +346,50 @@ def lasso_thresholds(X, ls, sig, cfg, adaptive):
     return np.broadcast_to(len(X) * sig[:, None] * eta_prime, ls.shape)
 
 
+# k = 100 at 4 residual dof, where a solve keeps the digits that an explicit
+# inverse of each support's Gram block loses
+LARGE_K = [est.DesignSpec("II", 104, 100, c=0.5), est.DesignSpec("II", 104, 100, c=2.0)]
+
+
 class TestBatchedSolver:
     """The homotopy solves every row exactly and on its own."""
 
     @staticmethod
     def problem(rows, design=est.DesignSpec("II", 8, 4, c=2.0)):
+        """Least-squares fits and sigma_hat of responses around theta: at
+        k = 4, ``rows`` rows around (3, 1.5, 0, 0); at larger k, 20 rows
+        around theta evenly spaced in [-0.2, 0.2]."""
         rng = np.random.default_rng(16)
         X = est.make_design(design)
-        Y = X @ np.array([3.0, 1.5, 0.0, 0.0]) + rng.standard_normal((rows, 8))
+        if design.k == 4:
+            theta = np.array([3.0, 1.5, 0.0, 0.0])
+        else:
+            theta, rows = np.linspace(-0.2, 0.2, design.k), 20
+        Y = X @ theta + rng.standard_normal((rows, design.n))
         ls = np.array([est.least_squares(est.RegressionData(X, y))[0] for y in Y])
         return X, Y, ls, rng.uniform(0.5, 1.5, rows)
 
+    @staticmethod
+    def config(design, adaptive):
+        """eta / xi at eta = 0.7 for k = 4; at larger k, run_study's rules
+        eta / xi (lasso) and eta (adaptive lasso) at eta = 0.05."""
+        if design.k == 4:
+            return est.LassoConfig.eta_xi_inverse(0.7)
+        return est.LassoConfig.constant(0.05) if adaptive else est.LassoConfig.eta_xi_inverse(0.05)
+
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_rows_independent_of_batch_size(self, adaptive):
-        X, Y, ls, sig = self.problem(1000, est.DesignSpec("I", 8, 4, rho=0.5))
-        cfg = est.LassoConfig.eta_xi_inverse(0.7)
-        alone = [est._lasso_rows(est._Design(X), ls[r:r + 1], sig[r:r + 1], cfg.penalties(X),
-                                 adaptive)
-                 for r in range(1000)]
-        for m in (1, 2, 3, 17, 1000):
-            theta = est._lasso_rows(est._Design(X), ls[:m], sig[:m], cfg.penalties(X), adaptive)
-            for r in range(m):
-                assert np.array_equal(theta[r], alone[r][0]), (m, r)
+        for design in (est.DesignSpec("I", 8, 4, rho=0.5), *LARGE_K):
+            X, Y, ls, sig = self.problem(1000, design)
+            cfg = self.config(design, adaptive)
+            alone = [est._lasso_rows(est._Design(X), ls[r:r + 1], sig[r:r + 1],
+                                     cfg.penalties(X), adaptive)
+                     for r in range(len(ls))]
+            for m in (1, 2, 3, 17, len(ls)):
+                theta = est._lasso_rows(est._Design(X), ls[:m], sig[:m], cfg.penalties(X),
+                                        adaptive)
+                for r in range(m):
+                    assert np.array_equal(theta[r], alone[r][0]), (design, m, r)
 
     def test_public_solvers_are_a_batch_of_one(self):
         X, Y, ls, sig = self.problem(5)
@@ -380,10 +402,10 @@ class TestBatchedSolver:
 
     @pytest.mark.parametrize("adaptive", [False, True])
     @pytest.mark.parametrize("design", [est.DesignSpec("II", 8, 4, c=2.0),
-                                        est.DesignSpec("I", 8, 4, rho=0.9)])
+                                        est.DesignSpec("I", 8, 4, rho=0.9), *LARGE_K])
     def test_kkt_conditions(self, design, adaptive):
         X, Y, ls, sig = self.problem(1000, design)
-        cfg = est.LassoConfig.eta_xi_inverse(0.7)
+        cfg = self.config(design, adaptive)
         theta = est._lasso_rows(est._Design(X), ls, sig, cfg.penalties(X), adaptive)
         t = lasso_thresholds(X, ls, sig, cfg, adaptive)
         xty = Y @ X

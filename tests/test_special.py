@@ -87,7 +87,7 @@ class TestRho:
         assert abs(expected - 0.9399856029866254) <= 1e-12
 
     def test_invalid_dof(self):
-        for bad in (0, -3, 2.5):
+        for bad in (0, -3, 2.5, sf.MAX_DOF + 1, 10 ** 300):
             with pytest.raises(ValueError):
                 sf.rho_density(bad, 1.0)
 
@@ -97,10 +97,24 @@ class TestRho:
             val = sf.integrate_rho(4, lambda s: 1.0 if s >= b else 0.0, breakpoints=[b])
             assert abs(val - sf.chi_square_tail(4, 4.0 * b * b)) <= 1e-10
 
-    @pytest.mark.parametrize("m", [10 ** 6, 10 ** 7, 10 ** 9])
+    @pytest.mark.parametrize("m", [10 ** 9, 10 ** 13, 10 ** 15])
+    def test_log_rho_against_mpmath(self, m):
+        # log rho_m at 50 digits, from -7.5 to 7.5 standard deviations about
+        # s = 1: the weight's rounding stays near eps, not eps * sqrt(m)
+        import mpmath
+
+        d = np.linspace(-7.5, 7.5, 13) / math.sqrt(2.0 * m)
+        with mpmath.workdps(50):
+            a = mpmath.mpf(m) / 2
+            want = [mpmath.log(2) + a * mpmath.log(a) - mpmath.loggamma(a)
+                    + (m - 1) * mpmath.log1p(v) - a * (1 + mpmath.mpf(v)) ** 2 for v in d]
+            gap = max(abs(mpmath.mpf(g) - w) for g, w in zip(sf._log_rho(m, d), want))
+        assert gap <= 1e-13
+
+    @pytest.mark.parametrize("m", [10 ** 6, 10 ** 7, 10 ** 9, 10 ** 13, 10 ** 15, sf.MAX_DOF])
     def test_rho_average_mass_at_large_dof(self, m):
         # the weight's rounding does not grow with m: the truncated support
-        # carries all but 2 * SUPPORT_TAIL_MASS of the mass at any dof.  Noise
+        # carries all but 2 * SUPPORT_TAIL_MASS of the mass up to MAX_DOF.  Noise
         # in the weight would keep the two rules of a panel apart and set off
         # bisections, which the time bound catches.
         start = time.perf_counter()
